@@ -10,8 +10,9 @@ mkdir -p target/ci
 # Tier-1 tests must pass at both worker-pool extremes: the engine's
 # contract is that LOOKASIDE_JOBS changes wall-clock time only, never
 # results. The suite includes the wire-layer proptests (compact-Name
-# codec round-trips, canonical-order reference model) and the capture
-# interning A/B determinism test.
+# codec round-trips, canonical-order reference model) and the same-run
+# oracle that classifies a capture and compares it with the per-packet
+# LeakSink fold of the same packets (tests/stream_equivalence.rs).
 LOOKASIDE_JOBS=1 cargo test -q
 LOOKASIDE_JOBS=4 cargo test -q
 
@@ -25,7 +26,8 @@ cargo fmt --check
 # allocation of a deterministic fig8_9 run, so allocations/query is an
 # exact number, not a timing. Fail if it creeps >10% above the recorded
 # baseline (PR-3 set 619, see BENCH_pr3.json; PR-9's `resolve_into` +
-# RRset scratch pool lowered the batch path to 453).
+# RRset scratch pool lowered it to 453; re-measured at 453 once fig8_9
+# stopped recording a capture).
 ALLOC_BASELINE=453
 cargo bench --bench alloc_sweep | tee target/ci/alloc_sweep.txt
 ALLOCS_PER_QUERY=$(awk '/allocs\/query/ { print $3; exit }' target/ci/alloc_sweep.txt)
@@ -41,56 +43,50 @@ fi
 
 # Streaming-regression gate: the stream_sweep bench measures the
 # steady-state allocations/query of the capture-less observer path (hard
-# ceiling, see BENCH_pr8.json) and the streamed Fig. 12 replay rate
-# (floor set ~10x under the recorded 4-worker figure, so it only trips
-# on order-of-magnitude regressions, not machine noise). The warm query
+# ceiling, see BENCH_pr8.json) and the Fig. 12 replay rate in cache-model
+# samples/sec — Zipf draws plus bitmap probes, not resolutions (floor set
+# ~10x under the recorded 4-worker figure, so it only trips on
+# order-of-magnitude regressions, not machine noise). The warm query
 # path is allocation-free since `resolve_into` + the resolver's RRset
 # scratch pool (PR 9); the ceiling of 2 leaves headroom for residual
 # cold-path traffic without letting a per-query allocation back in.
 STREAM_ALLOC_CEILING=2
-STREAM_QPS_FLOOR=150000
+STREAM_SAMPLES_FLOOR=150000
 cargo bench --bench stream_sweep | tee target/ci/stream_sweep.txt
 STREAM_ALLOCS=$(awk '/steady_state:.*allocs\/query/ { print $3; exit }' target/ci/stream_sweep.txt)
-STREAM_QPS=$(awk '/sampled queries\/sec/ { print $3; exit }' target/ci/stream_sweep.txt)
-if [ -z "${STREAM_ALLOCS}" ] || [ -z "${STREAM_QPS}" ]; then
-    echo "ci: FAIL — stream_sweep did not report allocs/query and queries/sec" >&2
+STREAM_SAMPLES=$(awk '/cache-model samples\/sec/ { print $3; exit }' target/ci/stream_sweep.txt)
+if [ -z "${STREAM_ALLOCS}" ] || [ -z "${STREAM_SAMPLES}" ]; then
+    echo "ci: FAIL — stream_sweep did not report allocs/query and cache-model samples/sec" >&2
     exit 1
 fi
 if [ "${STREAM_ALLOCS}" -ge "${STREAM_ALLOC_CEILING}" ]; then
     echo "ci: FAIL — ${STREAM_ALLOCS} steady-state allocs/query breaches the <${STREAM_ALLOC_CEILING} ceiling" >&2
     exit 1
 fi
-if [ "${STREAM_QPS}" -lt "${STREAM_QPS_FLOOR}" ]; then
-    echo "ci: FAIL — ${STREAM_QPS} sampled queries/sec is under the ${STREAM_QPS_FLOOR} floor" >&2
+if [ "${STREAM_SAMPLES}" -lt "${STREAM_SAMPLES_FLOOR}" ]; then
+    echo "ci: FAIL — ${STREAM_SAMPLES} cache-model samples/sec is under the ${STREAM_SAMPLES_FLOOR} floor" >&2
     exit 1
 fi
 
-# Byte-identity gate: `repro fig9` must print the same bytes at --jobs 1
-# and --jobs 4. Since PR 9 the default execution mode is streaming, so
-# this exercises the streamed path.
-./target/release/repro fig9 --jobs 1 > target/ci/fig9.jobs1.txt
-./target/release/repro fig9 --jobs 4 > target/ci/fig9.jobs4.txt
-if ! diff -u target/ci/fig9.jobs1.txt target/ci/fig9.jobs4.txt; then
-    echo "ci: FAIL — repro fig9 output diverges between --jobs 1 and --jobs 4" >&2
-    exit 1
-fi
-
-# Streaming-vs-batch byte-diff gate: streaming (the default) swaps the
-# whole execution substrate (per-packet LeakSink, fold-based reduction,
-# capture-less network) and must still print the same bytes as the batch
-# oracle behind `--batch`; fig9, fig12, and the farm cover the three
-# reduction shapes (ranked merge, ordered prefix-sum fold, set union).
-./target/release/repro fig9 --batch --jobs 4 > target/ci/fig9.batch.txt
-if ! diff -u target/ci/fig9.batch.txt target/ci/fig9.jobs1.txt; then
-    echo "ci: FAIL — repro fig9 (stream default) diverges from the --batch oracle" >&2
-    exit 1
-fi
-./target/release/repro fig12 --batch --jobs 1 > target/ci/fig12.batch.txt
-./target/release/repro fig12 --jobs 4 > target/ci/fig12.stream.txt
-if ! diff -u target/ci/fig12.batch.txt target/ci/fig12.stream.txt; then
-    echo "ci: FAIL — repro fig12 (stream default) diverges from the --batch oracle" >&2
-    exit 1
-fi
+# Golden gates: `repro fig9`, `fig12` and `farm` must print exactly the
+# bytes in tests/golden/, at --jobs 1 and at --jobs 4. The goldens were
+# written by the capture-then-classify pipeline the per-packet fold
+# replaced, so these gates pin every worker count to that oracle's
+# bytes; fig9, fig12 and the farm cover the three reduction shapes
+# (ranked merge, ordered prefix-sum fold, set union).
+golden_gate() {
+    section=$1
+    for jobs in 1 4; do
+        out="target/ci/${section}.jobs${jobs}.txt"
+        ./target/release/repro "${section}" --jobs "${jobs}" > "${out}"
+        if ! diff -u "tests/golden/${section}.txt" "${out}"; then
+            echo "ci: FAIL — repro ${section} --jobs ${jobs} diverges from tests/golden/${section}.txt" >&2
+            exit 1
+        fi
+    done
+}
+golden_gate fig9
+golden_gate fig12
 
 # Supervised checkpoint/resume gate: SIGKILL a mid-flight full-scale
 # fig12 run that is journalling to --checkpoint, resume it from the same
@@ -156,17 +152,7 @@ fi
 # against every cache topology. The reduction is a set union plus a
 # min-merge, so worker count (and cohort count — the farm proptests pin
 # that one) must never show up in the bytes.
-./target/release/repro farm --jobs 1 > target/ci/farm.jobs1.txt
-./target/release/repro farm --jobs 4 > target/ci/farm.jobs4.txt
-if ! diff -u target/ci/farm.jobs1.txt target/ci/farm.jobs4.txt; then
-    echo "ci: FAIL — repro farm output diverges between --jobs 1 and --jobs 4" >&2
-    exit 1
-fi
-./target/release/repro farm --batch --jobs 4 > target/ci/farm.batch.txt
-if ! diff -u target/ci/farm.batch.txt target/ci/farm.jobs1.txt; then
-    echo "ci: FAIL — repro farm (stream default) diverges from the --batch oracle" >&2
-    exit 1
-fi
+golden_gate farm
 
 # Corruption robustness gate: 10k fixed-seed mutated packets through the
 # wire decoder — typed WireError or success, never a panic. Backed by a

@@ -1,9 +1,9 @@
-//! Throughput and allocation profile of the streaming execution mode.
+//! Throughput and allocation profile of the capture-less run path.
 //!
 //! Two measurements, both deterministic (seeded workloads, serial
 //! steady-state loop), so `ci.sh` can gate on them:
 //!
-//! * **steady-state allocations/query** — a streaming run environment
+//! * **steady-state allocations/query** — a run environment
 //!   (capture-less network, `LeakSink` observer) is built and warmed
 //!   once, then the same ranked names are re-resolved for several rounds
 //!   through one reused `Resolution` with the counting allocator
@@ -12,14 +12,15 @@
 //!   <`ALLOC_CEILING`> ceiling, far under the ~619 allocs/query of a
 //!   cold resolution (BENCH_pr3.json) and down from the 3 allocs/query
 //!   the `resolve`-by-value path cost before the scratch pool.
-//! * **Fig. 12 streamed throughput** — the full trace replay through
-//!   [`fig12_stream`] on a 4-worker pool, reporting sampled cache-model
-//!   queries per second. The full-scale figure is 92.7M queries; the
-//!   measured rate is what makes `repro fig12 --full --stream` a
-//!   minutes-scale run.
+//! * **Fig. 12 cache-model throughput** — the full trace replay through
+//!   [`fig12_stream`] on a 4-worker pool, reporting cache-model samples
+//!   (one Zipf draw and one bitmap probe each, not a resolution) per
+//!   second. The full-scale figure is 92.7M queries; the measured rate is
+//!   what makes `repro fig12 --full` a minutes-scale run.
 //!
 //! Output: human-readable `bench stream_sweep/...` lines plus
-//! `BENCH_pr8.json` at the repository root.
+//! `target/ci/BENCH_pr8.json` (the tracked `BENCH_pr8.json` at the
+//! repository root is a historical record and is not rewritten).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::RefCell;
@@ -80,7 +81,7 @@ const ALLOC_CEILING: u64 = 2;
 const FIG12_SCALE: u64 = 100;
 
 fn main() {
-    // --- steady state: warm-cache resolution through the streaming path.
+    // --- steady state: warm-cache resolution through the capture-less path.
     let population = PopulationParams { size: 1000, ..PopulationParams::default() };
     let mut params = InternetParams::for_top(WARM_DOMAINS, population, RemedyMode::None);
     params.seed = SEED;
@@ -124,7 +125,7 @@ fn main() {
     drop(resolver);
     drop(internet);
 
-    // --- throughput: the streamed Fig. 12 replay on four workers.
+    // --- throughput: the Fig. 12 cache-model replay on four workers.
     let exec = Executor::new(4);
     black_box(fig12_stream(&exec, SEED, FIG12_SCALE)); // warm-up
     let started = Instant::now();
@@ -132,22 +133,23 @@ fn main() {
     let seconds = started.elapsed().as_secs_f64();
     let modeled_queries = *data.cumulative_queries.last().unwrap_or(&0);
     let sampled_queries = modeled_queries / FIG12_SCALE;
-    let sampled_qps = sampled_queries as f64 / seconds;
+    let samples_per_sec = sampled_queries as f64 / seconds;
     let modeled_qps = modeled_queries as f64 / seconds;
     println!(
         "bench stream_sweep/fig12: {modeled_queries} modeled queries \
          ({sampled_queries} sampled at 1/{FIG12_SCALE}) in {seconds:.2}s on 4 workers"
     );
     println!(
-        "bench stream_sweep/fig12: {sampled_qps:.0} sampled queries/sec \
+        "bench stream_sweep/fig12: {samples_per_sec:.0} cache-model samples/sec \
          ({modeled_qps:.0} modeled queries/sec)"
     );
 
     let json = format!(
-        "{{\n  \"bench\": \"stream_sweep\",\n  \"steady_state\": {{\"warm_domains\": {WARM_DOMAINS}, \"rounds\": {STEADY_ROUNDS}, \"queries\": {steady_queries}, \"allocations\": {steady_allocs}, \"bytes\": {steady_bytes}, \"allocations_per_query\": {allocs_per_query}, \"bytes_per_query\": {bytes_per_query}, \"ceiling_allocs_per_query\": {ALLOC_CEILING}}},\n  \"fig12_stream\": {{\"seed\": {SEED}, \"scale\": {FIG12_SCALE}, \"workers\": 4, \"modeled_queries\": {modeled_queries}, \"sampled_queries\": {sampled_queries}, \"seconds\": {seconds:.3}, \"sampled_queries_per_sec\": {sampled_qps:.0}, \"modeled_queries_per_sec\": {modeled_qps:.0}}}\n}}\n"
+        "{{\n  \"bench\": \"stream_sweep\",\n  \"steady_state\": {{\"warm_domains\": {WARM_DOMAINS}, \"rounds\": {STEADY_ROUNDS}, \"queries\": {steady_queries}, \"allocations\": {steady_allocs}, \"bytes\": {steady_bytes}, \"allocations_per_query\": {allocs_per_query}, \"bytes_per_query\": {bytes_per_query}, \"ceiling_allocs_per_query\": {ALLOC_CEILING}}},\n  \"fig12_stream\": {{\"seed\": {SEED}, \"scale\": {FIG12_SCALE}, \"workers\": 4, \"modeled_queries\": {modeled_queries}, \"sampled_queries\": {sampled_queries}, \"seconds\": {seconds:.3}, \"cache_model_samples_per_sec\": {samples_per_sec:.0}, \"modeled_queries_per_sec\": {modeled_qps:.0}}}\n}}\n"
     );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_pr8.json");
-    if let Err(e) = std::fs::write(path, json) {
+    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../target/ci");
+    let path = format!("{dir}/BENCH_pr8.json");
+    if let Err(e) = std::fs::create_dir_all(dir).and_then(|()| std::fs::write(&path, json)) {
         eprintln!("stream_sweep: could not write {path}: {e}");
     } else {
         println!("stream_sweep: wrote {path}");

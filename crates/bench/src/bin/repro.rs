@@ -1,27 +1,27 @@
 //! Regenerates every table and figure of the paper.
 //!
 //! ```text
-//! repro [--full] [--jobs N] [--batch|--stream] [--checkpoint P|--resume P]
-//!       [--allow-partial]   [table1|table2|table3|table4|table5|
-//!                            fig8|fig9|fig10|fig11|fig12|order|utility|
-//!                            survey|dict|attacks|chaos|byzantine|lifecycle|
-//!                            farm|all]
+//! repro [--full] [--jobs N] [--checkpoint P|--resume P] [--allow-partial]
+//!       [table1|table2|table3|table4|table5|fig8|fig9|fig10|fig11|fig12|
+//!        order|utility|nsec3|qmin|vantage|deployment|tlds|trace|survey|
+//!        dict|attacks|chaos|byzantine|lifecycle|farm|all]
 //! ```
 //!
 //! Without `--full`, dataset sweeps stop at 10k domains (seconds); with it
-//! they include the 100k and 1M points (minutes).
+//! they include the 100k and 1M points (minutes). An unknown flag or
+//! section, a second section, or a `--jobs` value that is not a positive
+//! integer prints the usage to stderr and exits with status 2.
 //!
 //! `--jobs N` (or the `LOOKASIDE_JOBS` environment variable) sets the
 //! worker-pool size the experiment engine shards sweeps across. The output
 //! is byte-identical for every N — parallelism only changes wall-clock
 //! time, never results.
 //!
-//! Experiments run in the **streaming** execution mode by default:
-//! packets fold into accumulators as they happen instead of being
-//! captured and classified afterwards, holding O(shards) memory.
-//! `--batch` (or `LOOKASIDE_BATCH=1`) opts back into the capture-based
-//! oracle pipeline. Output is byte-identical either way — `ci.sh` diffs
-//! the two — so the flag trades nothing but peak memory.
+//! Experiments fold packets into accumulators as they happen instead of
+//! capturing and classifying afterwards, holding O(shards) memory. The
+//! tests check that fold against classifying a capture of the same run,
+//! and `ci.sh` diffs `fig9`, `fig12` and `farm` against the golden files
+//! in `tests/golden/`.
 //!
 //! `--checkpoint P` / `--resume P` (or `LOOKASIDE_CHECKPOINT=P`) journal
 //! every completed `fig12` window shard to the CRC-checked file `P`; a
@@ -46,47 +46,94 @@ use lookaside::report::{megabytes, pct, render_table};
 use lookaside::workload;
 use lookaside_resolver::{environments, InstallMethod};
 
+/// Every section name `repro` accepts; `all` (the default) prints them all.
+const SECTIONS: &str = "table1 table2 table3 table4 table5 fig8 fig9 fig10 fig11 fig12 order \
+    utility nsec3 qmin vantage deployment tlds trace survey dict attacks chaos byzantine \
+    lifecycle farm all";
+
+/// The parsed command line.
+#[derive(Debug, Default, PartialEq, Eq)]
+struct Args {
+    full: bool,
+    jobs: Option<usize>,
+    allow_partial: bool,
+    /// `--checkpoint` / `--resume` journal path (first one given wins).
+    checkpoint: Option<String>,
+    /// The section to print; `all` when none is named.
+    what: String,
+}
+
+/// Parses the arguments after the program name. Flags take values as
+/// `--flag VALUE` or `--flag=VALUE`; any other flag, a name outside
+/// [`SECTIONS`], or a second section is an error.
+fn parse_args(args: &[String]) -> Result<Args, String> {
+    let mut parsed = Args::default();
+    let mut it = args.iter();
+    while let Some(arg) = it.next() {
+        let (flag, inline) = match arg.split_once('=') {
+            Some((flag, value)) if flag.starts_with("--") => (flag, Some(value)),
+            _ => (arg.as_str(), None),
+        };
+        let mut value = || {
+            inline
+                .map(str::to_string)
+                .or_else(|| it.next().cloned())
+                .ok_or_else(|| format!("{flag} needs a value"))
+        };
+        match flag {
+            "--full" if inline.is_none() => parsed.full = true,
+            "--allow-partial" if inline.is_none() => parsed.allow_partial = true,
+            "--jobs" => {
+                let v = value()?;
+                let jobs = v.parse::<usize>().ok().filter(|&n| n > 0);
+                parsed.jobs =
+                    Some(jobs.ok_or(format!("--jobs needs a positive integer, got `{v}`"))?);
+            }
+            "--checkpoint" | "--resume" => {
+                let v = value()?;
+                parsed.checkpoint.get_or_insert(v);
+            }
+            _ if flag.starts_with('-') => return Err(format!("unknown flag `{arg}`")),
+            _ if !SECTIONS.split_whitespace().any(|name| name == flag) => {
+                return Err(format!("unknown section `{arg}`"))
+            }
+            _ if !parsed.what.is_empty() => return Err(format!("a second section `{arg}`")),
+            _ => parsed.what = arg.clone(),
+        }
+    }
+    if parsed.what.is_empty() {
+        parsed.what = "all".to_string();
+    }
+    Ok(parsed)
+}
+
 fn main() {
     let args: Vec<String> = env::args().skip(1).collect();
-    let full = args.iter().any(|a| a == "--full");
-    if let Some(jobs) = parse_jobs(&args) {
+    let Args { full, jobs, allow_partial, checkpoint, what } = match parse_args(&args) {
+        Ok(parsed) => parsed,
+        Err(e) => {
+            eprintln!(
+                "repro: {e}\nusage: repro [--full] [--jobs N] [--checkpoint P|--resume P] \
+                 [--allow-partial] [SECTION]\nsections: {SECTIONS}"
+            );
+            std::process::exit(2);
+        }
+    };
+    if let Some(jobs) = jobs {
         // The engine reads LOOKASIDE_JOBS when experiments construct their
         // executor; setting it here makes --jobs authoritative for the
         // whole process.
         env::set_var(lookaside::engine::JOBS_ENV, jobs.to_string());
     }
-    if args.iter().any(|a| a == "--stream") {
-        // Experiments consult LOOKASIDE_STREAM through ExecMode::from_env
-        // when they dispatch; setting it here makes --stream authoritative
-        // for the whole process (it also wins over --batch).
-        env::set_var(lookaside::engine::STREAM_ENV, "1");
-    }
-    if args.iter().any(|a| a == "--batch") {
-        // Streaming is the default; --batch opts back into the capture
-        // oracle.
-        env::set_var(lookaside::engine::BATCH_ENV, "1");
-    }
-    if args.iter().any(|a| a == "--allow-partial") {
+    if allow_partial {
         env::set_var(lookaside::engine::ALLOW_PARTIAL_ENV, "1");
     }
-    if let Some(path) = parse_value(&args, &["--checkpoint", "--resume"]) {
+    if let Some(path) = checkpoint {
         // --checkpoint and --resume are the same mechanism: the journal
         // loader folds back whatever valid prefix the file holds (none,
         // for a fresh path) and the sweep continues from there.
         env::set_var(lookaside::engine::CHECKPOINT_ENV, path);
     }
-    let mut skip_next = false;
-    let what = args
-        .iter()
-        .filter(|a| {
-            let keep = !skip_next;
-            skip_next = ["--jobs", "--checkpoint", "--resume"].contains(&a.as_str());
-            keep && !a.starts_with("--")
-        })
-        .map(String::as_str)
-        .next()
-        .unwrap_or("all")
-        .to_string();
 
     let sweep: Vec<usize> = if full {
         let mut sizes = lookaside_bench::SWEEP_SIZES.to_vec();
@@ -173,28 +220,6 @@ fn main() {
     if wants("farm") {
         print_farm(if full { 500 } else { 2_000 });
     }
-}
-
-/// Extracts `--jobs N` / `--jobs=N` from the argument list.
-fn parse_jobs(args: &[String]) -> Option<usize> {
-    parse_value(args, &["--jobs"]).and_then(|v| v.parse().ok())
-}
-
-/// Extracts the value of the first flag in `names` present in the
-/// argument list, accepting both `--flag VALUE` and `--flag=VALUE`.
-fn parse_value(args: &[String], names: &[&str]) -> Option<String> {
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        if names.contains(&arg.as_str()) {
-            return it.next().cloned();
-        }
-        for name in names {
-            if let Some(v) = arg.strip_prefix(&format!("{name}=")) {
-                return Some(v.to_string());
-            }
-        }
-    }
-    None
 }
 
 fn print_table1() {
@@ -805,4 +830,55 @@ fn print_farm(ditl_scale: u64) {
         "(the Fig. 12 day-in-the-life volume replayed against the farm instead of one resolver: \
          per-client attribution survives any partition of the trace)"
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(line: &str) -> Result<Args, String> {
+        parse_args(&line.split_whitespace().map(String::from).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn accepts_every_documented_form() {
+        assert_eq!(parse(""), Ok(Args { what: "all".into(), ..Args::default() }));
+        let fig9 = Args { jobs: Some(4), what: "fig9".into(), ..Args::default() };
+        assert_eq!(parse("fig9 --jobs 4").as_ref(), Ok(&fig9));
+        assert_eq!(parse("--jobs=4 fig9").as_ref(), Ok(&fig9));
+        let resumed = parse("--full --allow-partial fig12 --resume j.ckpt --checkpoint other");
+        assert_eq!(
+            resumed,
+            Ok(Args {
+                full: true,
+                allow_partial: true,
+                checkpoint: Some("j.ckpt".into()),
+                what: "fig12".into(),
+                ..Args::default()
+            })
+        );
+        for section in SECTIONS.split_whitespace() {
+            assert_eq!(parse(section).map(|a| a.what), Ok(section.to_string()));
+        }
+    }
+
+    #[test]
+    fn rejects_bad_arguments() {
+        for line in [
+            "fgi9 --jbos 4",
+            "fgi9",
+            "fig9 --jbos 4",
+            "--batch fig9",
+            "--stream",
+            "table1 --jobs abc",
+            "--jobs 0",
+            "--jobs -2",
+            "--jobs",
+            "--checkpoint",
+            "--full=1",
+            "fig9 fig12",
+        ] {
+            assert!(parse(line).is_err(), "`{line}` must be rejected");
+        }
+    }
 }

@@ -2,18 +2,22 @@
 //!
 //! Every experiment is deterministic given its seed, builds a fresh
 //! simulated Internet (cold caches, like the paper's per-dataset runs),
-//! drives the resolver, and interprets the packet capture.
+//! drives the resolver, and classifies the DLV packets it observes.
+
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use lookaside_engine::{expect_all, Executor, ShardPlan};
 use lookaside_netsim::{CaptureFilter, TrafficStats};
 use lookaside_resolver::{BindConfig, Counters, InstallMethod, ResolverConfig};
 use lookaside_wire::ext::RemedyMode;
 use lookaside_wire::{Name, RrType};
-use lookaside_workload::{DitlTrace, PopulationParams, Zipf};
+use lookaside_workload::{PopulationParams, Zipf};
 use serde::Serialize;
 
 use crate::internet::{Internet, InternetParams};
 use crate::leakage::{classify, LeakageReport};
+use crate::stream::LeakSink;
 
 /// Which names a run queries.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -173,14 +177,21 @@ pub struct RunOutcome {
 }
 
 /// Executes one run.
+///
+/// The network records no capture: a [`LeakSink`] applies the run's
+/// [`RunConfig::capture`] filter and folds each DLV packet into the
+/// [`LeakageReport`] as it happens — the report classifying that capture
+/// would give.
 pub fn run(config: &RunConfig) -> RunOutcome {
     let limit = config.queries.max_rank().max(1);
     let mut params = InternetParams::for_top(limit, config.population, config.remedy);
     params.dlv_span_ttl = config.dlv_span_ttl;
     params.dlv_denial = config.dlv_denial;
     params.seed = config.seed;
-    params.capture = config.capture;
+    params.capture = CaptureFilter::None;
     let mut internet = Internet::build(params);
+    let sink = Rc::new(RefCell::new(LeakSink::new(config.capture, internet.dlv_apex.clone())));
+    internet.net.set_observer(Box::new(Rc::clone(&sink)));
     let mut resolver = internet.resolver(config.resolver, config.seed ^ 0x5a17);
     let names = config.queries.names(&internet);
     let mut statuses = StatusTally::default();
@@ -188,9 +199,10 @@ pub fn run(config: &RunConfig) -> RunOutcome {
         let result = resolver.resolve(&mut internet.net, name, RrType::A);
         crate::parallel::tally(&mut statuses, &result);
     }
+    let leakage = sink.borrow().report.clone();
     RunOutcome {
         stats: internet.net.stats().clone(),
-        leakage: classify(internet.net.capture(), &internet.dlv_apex),
+        leakage,
         counters: resolver.counters,
         statuses,
         elapsed_ns: internet.net.now_ns(),
@@ -395,38 +407,47 @@ pub struct LeakPoint {
 }
 
 /// Runs the Fig. 8 / Fig. 9 sweep on the session executor (`--jobs` /
-/// `LOOKASIDE_JOBS`), streaming when `LOOKASIDE_STREAM` is set.
+/// `LOOKASIDE_JOBS`).
 pub fn fig8_9(sizes: &[usize], seed: u64) -> Vec<LeakPoint> {
-    if crate::stream::ExecMode::from_env().is_stream() {
-        crate::stream::fig8_9_stream(&crate::parallel::executor(), sizes, seed)
-    } else {
-        fig8_9_with(&crate::parallel::executor(), sizes, seed)
-    }
+    fig8_9_with(&crate::parallel::executor(), sizes, seed)
 }
 
 /// [`fig8_9`] on an explicit executor. Each dataset size is one shard — a
-/// full cold-cache run, exactly as the serial sweep performed them — so
-/// the reduced point list is identical for every worker count.
+/// full cold-cache run — so the reduced point list is identical for every
+/// worker count. Shards run under the session supervisor: a failed size
+/// is retried within the bounded budget, and with `--allow-partial` a
+/// still-failing size is dropped from the point list (its absence is
+/// printed, never silent).
 pub fn fig8_9_with(exec: &Executor, sizes: &[usize], seed: u64) -> Vec<LeakPoint> {
     let shards = ShardPlan::new(seed).over(sizes.iter().copied());
-    expect_all(exec.run(&shards, |shard| {
-        let n = shard.input;
-        let mut config = RunConfig::for_top(n, RemedyMode::None);
-        config.seed = seed;
-        let outcome = run(&config);
-        LeakPoint {
-            n,
-            dlv_queries: outcome.leakage.dlv_queries,
-            leaked_domains: count_leaked_ranked(&outcome),
-            proportion: count_leaked_ranked(&outcome) as f64 / n as f64,
-            suppressed: outcome.counters.dlv_suppressed_by_nsec,
-        }
-    }))
+    let sup = crate::parallel::supervisor();
+    crate::parallel::accept(exec.run_fold_supervised(
+        &shards,
+        |shard| {
+            let n = shard.input;
+            let mut config = RunConfig::for_top(n, RemedyMode::None);
+            config.seed = seed;
+            let outcome = run(&config);
+            LeakPoint {
+                n,
+                dlv_queries: outcome.leakage.dlv_queries,
+                leaked_domains: count_leaked_ranked(&outcome),
+                proportion: count_leaked_ranked(&outcome) as f64 / n as f64,
+                suppressed: outcome.counters.dlv_suppressed_by_nsec,
+            }
+        },
+        Vec::with_capacity(sizes.len()),
+        |mut acc, _shard, point| {
+            acc.push(point);
+            acc
+        },
+        &sup,
+    ))
 }
 
 /// Distinct leaked *ranked domains* (TLD-level strip leaks and hoster-zone
 /// leaks excluded), matching the paper's "leaked domains" notion.
-pub(crate) fn count_leaked_ranked(outcome: &RunOutcome) -> usize {
+fn count_leaked_ranked(outcome: &RunOutcome) -> usize {
     outcome
         .leakage
         .leaked_names
@@ -847,114 +868,11 @@ pub struct Fig12Data {
     pub overhead_mbps: f64,
 }
 
-/// Builds Fig. 12 from a generated DITL trace.
-///
-/// Per-query byte costs are *measured* from a calibration run of the full
-/// simulator; the trace is then aggregated analytically (92.7M queries are
-/// not resolved one by one — the paper's own Fig. 12 likewise replays
-/// aggregate volumes). `scale` divides the trace volume for cheap test
-/// runs; use 1 for the full figure.
+/// Builds Fig. 12 from a generated DITL trace on the session executor;
+/// see [`crate::stream::fig12_stream`]. `scale` divides the trace volume
+/// for cheap test runs; use 1 for the full figure.
 pub fn fig12(seed: u64, scale: u64) -> Fig12Data {
-    if crate::stream::ExecMode::from_env().is_stream() {
-        crate::stream::fig12_stream(&crate::parallel::executor(), seed, scale)
-    } else {
-        fig12_with(&crate::parallel::executor(), seed, scale)
-    }
-}
-
-/// [`fig12`] on an explicit executor.
-///
-/// Parallel decomposition: the cache model resets its TTL window every 60
-/// minutes, so the 420-minute trace is seven *independent* windows. Each
-/// window is one shard with its own splitmix draw stream (seeded from the
-/// shard seed), simulated in isolation; reduction concatenates the
-/// windows in shard order and prefix-sums the cumulative series — the
-/// same totals at any worker count. The two calibration runs (baseline
-/// and TXT remedy) are likewise independent shards.
-pub fn fig12_with(exec: &Executor, seed: u64, scale: u64) -> Fig12Data {
-    assert!(scale >= 1);
-    let trace = DitlTrace::generate(seed);
-
-    // Calibration: measure average upstream bytes per cold resolution and
-    // per TXT probe from a small real run of each configuration.
-    let calib = ShardPlan::new(seed ^ 0xca11b).over([RemedyMode::None, RemedyMode::TxtSignal]);
-    let calibrated = expect_all(exec.run(&calib, |shard| {
-        let mut cfg = RunConfig::quick(60);
-        cfg.remedy = shard.input;
-        cfg.capture = CaptureFilter::None;
-        run(&cfg)
-    }));
-    let (base, txt) = (&calibrated[0], &calibrated[1]);
-    let cold_bytes_per_resolution = base.stats.total_bytes() as f64 / base.queried as f64;
-    let txt_probes = txt.stats.queries_of(RrType::Txt).max(1);
-    let txt_bytes_per_probe = txt.stats.bytes_of(RrType::Txt) as f64 / txt_probes as f64;
-    // Stub-side cost of answering one query (query + typical answer).
-    let stub_bytes_per_query = 130.0;
-
-    // Cache model over the trace: domains drawn Zipf over 2M; a cache
-    // miss pays the cold upstream cost and (with the remedy) one TXT
-    // probe. The exponent is calibrated so the full-scale (scale = 1) run
-    // lands near the paper's ≈1.2 GB / 0.38 Mbps signaling overhead;
-    // sampled runs (scale > 1) overstate the miss rate and are for
-    // smoke-testing only.
-    let windows: Vec<Vec<u64>> =
-        trace.per_minute().chunks(60).map(|chunk| chunk.to_vec()).collect();
-    let shards = ShardPlan::new(seed ^ 0xd17f).over(windows);
-    let per_window = expect_all(exec.run(&shards, |shard| {
-        let zipf = Zipf::new(2_000_000, 0.92);
-        let mut seen = vec![false; zipf.n() + 1];
-        let mut rng_state = shard.seed;
-        let mut next = || {
-            rng_state = rng_state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            let mut z = rng_state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            z ^ (z >> 31)
-        };
-        let mut minutes = Vec::with_capacity(shard.input.len());
-        for &volume in &shard.input {
-            let sampled = volume / scale;
-            let mut misses = 0u64;
-            for _ in 0..sampled {
-                let domain = zipf.sample_hash(next());
-                if !seen[domain] {
-                    seen[domain] = true;
-                    misses += 1;
-                }
-            }
-            let scaled_misses = misses * scale;
-            let base_bytes = (volume as f64 * stub_bytes_per_query) as u64
-                + (scaled_misses as f64 * cold_bytes_per_resolution) as u64;
-            let overhead_bytes = (scaled_misses as f64 * txt_bytes_per_probe) as u64;
-            minutes.push((volume, base_bytes, overhead_bytes));
-        }
-        minutes
-    }));
-
-    // Reduce in window order: concatenate, then prefix-sum.
-    let mut cum_q = 0u64;
-    let mut cum_base = 0u64;
-    let mut cum_overhead = 0u64;
-    let mut cumulative_queries = Vec::with_capacity(trace.per_minute().len());
-    let mut cumulative_baseline_bytes = Vec::with_capacity(trace.per_minute().len());
-    let mut cumulative_overhead_bytes = Vec::with_capacity(trace.per_minute().len());
-    for (volume, base_bytes, overhead_bytes) in per_window.into_iter().flatten() {
-        cum_q += volume;
-        cum_base += base_bytes;
-        cum_overhead += overhead_bytes;
-        cumulative_queries.push(cum_q);
-        cumulative_baseline_bytes.push(cum_base);
-        cumulative_overhead_bytes.push(cum_overhead);
-    }
-    let overhead_mbps =
-        *cumulative_overhead_bytes.last().unwrap() as f64 * 8.0 / (420.0 * 60.0) / 1e6;
-    Fig12Data {
-        per_minute: trace.per_minute().to_vec(),
-        cumulative_queries,
-        cumulative_baseline_bytes,
-        cumulative_overhead_bytes,
-        overhead_mbps,
-    }
+    crate::stream::fig12_stream(&crate::parallel::executor(), seed, scale)
 }
 
 #[cfg(test)]

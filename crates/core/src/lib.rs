@@ -8,6 +8,7 @@
 //!   repository (calibrated contents), and a default-route synthetic
 //!   authority serving the million-domain tail,
 //! * [`leakage`] — the Case-1/Case-2 classifier over packet captures (§3),
+//!   the oracle for the per-packet [`LeakSink`] every experiment runs on,
 //! * [`experiments`] — one runner per table/figure of the paper's
 //!   evaluation (Tables 2–5, Figs. 8–12, plus the §5.1/§5.2/§5.3
 //!   headline numbers),
@@ -24,9 +25,9 @@
 //!   farm: topology-aware (per-resolver / shared-cache / ODoH /
 //!   Resolver-Less), cache-hit-aware, per-client case-2 leak accounting
 //!   over `lookaside-population`'s synthetic stubs,
-//! * [`stream`] — the streaming execution mode (`LOOKASIDE_STREAM` /
-//!   `repro --stream`): capture-less runs folding each packet into the
-//!   leakage accumulators as it happens, byte-identical to batch,
+//! * [`stream`] — [`LeakSink`], the per-packet Case-1/Case-2 fold that
+//!   replaces the capture in every experiment run, and the Fig. 12 trace
+//!   replay folded window by window across the executor,
 //! * [`report`] — plain-text table rendering for the `repro` binary.
 //!
 //! # Quickstart
@@ -59,10 +60,8 @@ pub use client::Client;
 pub use farm::{Farm, FarmConfig, FarmTopology, TopologyReport};
 pub use internet::{Internet, InternetParams, VantagePoint};
 pub use leakage::{classify, LeakageReport};
-pub use parallel::{accept, executor, fold_cohorts, map_cohorts, run_sharded, supervisor, Worker};
-pub use stream::{
-    fig12_stream, fig12_stream_checkpointed, fig8_9_stream, run_stream, ExecMode, LeakSink,
-};
+pub use parallel::{accept, executor, fold_cohorts, run_sharded, supervisor, Worker};
+pub use stream::{fig12_stream, fig12_stream_checkpointed, run_stream, LeakSink};
 
 pub use lookaside_population as population;
 

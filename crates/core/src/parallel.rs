@@ -24,9 +24,9 @@
 //!   and takes the *maximum* shard virtual time as the fleet's elapsed
 //!   time (the boxes run concurrently in simulated time too).
 //!
-//! Every replica is built from the same [`RunConfig`], so with one shard
-//! the fleet degenerates to exactly [`run`]'s serial path — byte for
-//! byte. With any shard count, the output is a pure function of
+//! Every replica is built from the same [`RunConfig`], and classifying a
+//! capture equals [`run`]'s per-packet fold, so with one shard the fleet
+//! degenerates to exactly [`run`]'s serial path — byte for byte. With any shard count, the output is a pure function of
 //! `(config, shard count)`: worker threads only decide *when* a shard
 //! runs, never what it produces, so `--jobs 1` and `--jobs N` are
 //! byte-identical (the engine determinism suite pins this down).
@@ -42,7 +42,7 @@
 //!   slicing contiguously preserves the span-cache locality the Fig. 8/9
 //!   calibration anchors depend on. Hashing ranks across boxes would
 //!   scatter neighbours and silently deflate cache-hit ratios.
-//! * **Client planes shard by hashed client cohort** ([`map_cohorts`],
+//! * **Client planes shard by hashed client cohort** ([`fold_cohorts`],
 //!   used by [`crate::farm`]). Clients are independent; their cohort is a
 //!   pure function of `(seed, client)` (see
 //!   `lookaside_population::StubPlane::cohort_of`), and the farm's
@@ -105,41 +105,17 @@ pub fn accept<A>(outcome: SweepOutcome<A>) -> A {
     outcome.value
 }
 
-/// Maps `work` over cohorts `0..cohorts` on `exec`'s pool and returns the
-/// per-cohort results in cohort order.
+/// Folds `work` over cohorts `0..cohorts` on `exec`'s pool into one
+/// accumulator, in ascending cohort order, so only one cohort result is
+/// live at a time.
 ///
 /// This is the client-plane half of the fleet machinery (see the module
 /// docs): each shard's input is a cohort *index*, the caller resolves
 /// membership through a stable hash, and the caller's reduction must be
-/// order-independent. The engine seeds each shard from
-/// `splitmix64(seed, cohort)` should `work` want per-cohort entropy;
-/// results come back indexed by cohort id, never by completion order, so
-/// the worker pool cannot leak into the output.
-pub fn map_cohorts<T, F>(seed: u64, cohorts: usize, exec: &Executor, work: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(&lookaside_engine::Shard<usize>) -> T + Sync,
-{
-    assert!(cohorts > 0, "cohort count must be positive");
-    let plan = ShardPlan::new(seed).over(0..cohorts);
-    let sup = supervisor();
-    accept(exec.run_fold_supervised(
-        &plan,
-        work,
-        Vec::with_capacity(cohorts),
-        |mut acc, _cohort, t| {
-            acc.push(t);
-            acc
-        },
-        &sup,
-    ))
-}
-
-/// [`map_cohorts`]'s streaming twin: folds per-cohort results into one
-/// accumulator in ascending cohort order instead of collecting a vector,
-/// so only one cohort result is live at a time. For the order-free
-/// reductions client planes use (set union + min-merge), the fold equals
-/// merging the collected vector — the farm equivalence tests pin it down.
+/// order-independent (client planes use set union + min-merge). The
+/// engine seeds each shard from `splitmix64(seed, cohort)` should `work`
+/// want per-cohort entropy; results fold in cohort order, never in
+/// completion order, so the worker pool cannot leak into the output.
 ///
 /// Runs under the session [`supervisor`]: failed cohorts are retried
 /// under the bounded budget, and a degraded sweep aborts with its
@@ -171,10 +147,10 @@ pub struct Worker {
 }
 
 impl Worker {
-    /// Builds a replica for `config` — identical to the environment
-    /// [`run`] builds, so a single-shard fleet reproduces the serial path
-    /// exactly. Each worker calls this on its own thread; replicas share
-    /// nothing.
+    /// Builds a replica for `config` — the Internet [`run`] builds, except
+    /// that the network records the run's capture filter instead of
+    /// folding packets into a sink, so the box can ship its pcap. Each
+    /// worker calls this on its own thread; replicas share nothing.
     pub fn replica(config: &RunConfig) -> Self {
         let limit = config.queries.max_rank().max(1);
         let mut params = InternetParams::for_top(limit, config.population, config.remedy);

@@ -1,29 +1,22 @@
-//! Streaming execution mode: fold packets into accumulators as they
-//! happen, never materialize a capture.
+//! Per-packet leak classification and the streamed Fig. 12 replay.
 //!
-//! The batch pipeline is faithful to the paper — run, capture, classify
-//! the pcap — but it holds O(packets) memory per shard. Streaming mode
-//! replaces the capture with a [`LeakSink`]: a [`PacketSink`] installed on
-//! the network that applies the run's [`CaptureFilter`] and folds each
-//! retained packet straight into a [`LeakageReport`]. The simulation path
-//! is untouched (same exchanges, same virtual clock, same RNG draws), so
-//! the two modes are **byte-identical** by construction:
+//! Experiments never materialize a capture. A [`LeakSink`] — a
+//! [`PacketSink`] installed on the network — applies the run's
+//! [`CaptureFilter`] and folds each retained packet straight into a
+//! [`LeakageReport`] as it happens, so a run holds O(1) leak state instead
+//! of O(packets), and sweeps hold O(shards).
 //!
-//! * [`crate::leakage::classify`] examines packets independently, so
-//!   per-packet classification commutes with capture-then-classify;
-//! * the sink applies retention via [`CaptureFilter::keeps`] — the same
-//!   predicate `Capture::record` uses — not a re-derived rule;
-//! * shard reductions fold in ascending shard id
-//!   ([`lookaside_engine::Executor::run_fold`]), the order batch merges
-//!   captures in.
+//! The network's capture stays: it is the paper's pcap, and the oracle.
+//! [`crate::leakage::classify`] examines packets independently and the
+//! sink applies retention via [`CaptureFilter::keeps`] — the predicate
+//! `Capture::record` uses — so folding a run's packets equals classifying
+//! its capture. `tests/stream_equivalence.rs` tees one run into both and
+//! asserts exactly that, for any seed, size, remedy and capture filter.
 //!
-//! The equivalence suite (`tests/stream_equivalence.rs`) pins the contract
-//! down for every experiment family at several worker counts; `ci.sh`
-//! additionally byte-diffs `repro --stream` output against batch.
+//! [`run_stream`] is [`crate::experiments::run`] under the name callers
+//! import from this module.
 
-use std::cell::RefCell;
 use std::path::Path;
-use std::rc::Rc;
 
 use lookaside_engine::{Checkpoint, Executor, ShardPlan};
 use lookaside_netsim::{CaptureFilter, Direction, Packet, PacketSink};
@@ -31,50 +24,18 @@ use lookaside_wire::ext::RemedyMode;
 use lookaside_wire::{Name, Rcode, RrType};
 use lookaside_workload::{DitlTrace, Zipf};
 
-use crate::experiments::{
-    count_leaked_ranked, Fig12Data, LeakPoint, RunConfig, RunOutcome, StatusTally,
-};
-use crate::internet::{Internet, InternetParams};
+pub use crate::experiments::run as run_stream;
+use crate::experiments::{Fig12Data, RunConfig};
 use crate::leakage::LeakageReport;
-
-/// Which execution path an experiment takes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ExecMode {
-    /// Capture packets, classify afterwards — the paper's pcap pipeline
-    /// and the correctness oracle (`repro --batch` / `LOOKASIDE_BATCH`).
-    Batch,
-    /// Fold packets into accumulators on the fly — O(shards) memory.
-    /// The default since PR 9.
-    #[default]
-    Stream,
-}
-
-impl ExecMode {
-    /// The session's mode: [`ExecMode::Stream`] unless `LOOKASIDE_BATCH`
-    /// opts back into the capture oracle (`1`/`true`/`on`);
-    /// `LOOKASIDE_STREAM` wins when both are set.
-    pub fn from_env() -> Self {
-        if lookaside_engine::stream_requested() {
-            ExecMode::Stream
-        } else {
-            ExecMode::Batch
-        }
-    }
-
-    /// Whether this is the streaming path.
-    pub fn is_stream(self) -> bool {
-        self == ExecMode::Stream
-    }
-}
 
 /// The streaming Case-1/Case-2 classifier: `classify()` refactored into a
 /// per-packet fold, plus the capture's retention filter.
 ///
 /// Observes every packet the network builds, keeps the ones the run's
-/// [`CaptureFilter`] would have retained, and applies exactly the
-/// per-packet logic of [`crate::leakage::classify`]. After the run the
-/// accumulated [`LeakageReport`] equals classifying the capture the batch
-/// path would have recorded.
+/// [`CaptureFilter`] retains, and applies exactly the per-packet logic of
+/// [`crate::leakage::classify`]. After the run the accumulated
+/// [`LeakageReport`] equals classifying a capture recorded with the same
+/// filter.
 #[derive(Debug, Clone)]
 pub struct LeakSink {
     filter: CaptureFilter,
@@ -124,71 +85,6 @@ impl PacketSink for LeakSink {
     }
 }
 
-/// [`crate::experiments::run`] in streaming mode: same simulation, no
-/// capture — the network retains nothing and a [`LeakSink`] folds the
-/// packet stream into the [`LeakageReport`] directly.
-pub fn run_stream(config: &RunConfig) -> RunOutcome {
-    let limit = config.queries.max_rank().max(1);
-    let mut params = InternetParams::for_top(limit, config.population, config.remedy);
-    params.dlv_span_ttl = config.dlv_span_ttl;
-    params.dlv_denial = config.dlv_denial;
-    params.seed = config.seed;
-    // The sink replaces the capture; the network stores nothing. The
-    // *run's* filter still applies — inside the sink.
-    params.capture = CaptureFilter::None;
-    let mut internet = Internet::build(params);
-    let sink = Rc::new(RefCell::new(LeakSink::new(config.capture, internet.dlv_apex.clone())));
-    internet.net.set_observer(Box::new(Rc::clone(&sink)));
-    let mut resolver = internet.resolver(config.resolver, config.seed ^ 0x5a17);
-    let names = config.queries.names(&internet);
-    let mut statuses = StatusTally::default();
-    for name in &names {
-        let result = resolver.resolve(&mut internet.net, name, RrType::A);
-        crate::parallel::tally(&mut statuses, &result);
-    }
-    let leakage = sink.borrow().report.clone();
-    RunOutcome {
-        stats: internet.net.stats().clone(),
-        leakage,
-        counters: resolver.counters,
-        statuses,
-        elapsed_ns: internet.net.now_ns(),
-        queried: names.len(),
-    }
-}
-
-/// [`crate::experiments::fig8_9_with`] on the streaming path: each dataset
-/// size is still one shard, but every shard runs capture-less and under
-/// the session supervisor — failed sizes are retried within the bounded
-/// budget, and with `--allow-partial` a still-failing size is dropped
-/// from the point list (its absence is printed, never silent).
-pub fn fig8_9_stream(exec: &Executor, sizes: &[usize], seed: u64) -> Vec<LeakPoint> {
-    let shards = ShardPlan::new(seed).over(sizes.iter().copied());
-    let sup = crate::parallel::supervisor();
-    crate::parallel::accept(exec.run_fold_supervised(
-        &shards,
-        |shard| {
-            let n = shard.input;
-            let mut config = RunConfig::for_top(n, RemedyMode::None);
-            config.seed = seed;
-            let outcome = run_stream(&config);
-            LeakPoint {
-                n,
-                dlv_queries: outcome.leakage.dlv_queries,
-                leaked_domains: count_leaked_ranked(&outcome),
-                proportion: count_leaked_ranked(&outcome) as f64 / n as f64,
-                suppressed: outcome.counters.dlv_suppressed_by_nsec,
-            }
-        },
-        Vec::with_capacity(sizes.len()),
-        |mut acc, _shard, point| {
-            acc.push(point);
-            acc
-        },
-        &sup,
-    ))
-}
-
 /// Prefix-sum accumulator for the Fig. 12 cumulative series — the fold
 /// state [`fig12_stream`] threads through the window shards.
 struct Fig12Acc {
@@ -200,14 +96,20 @@ struct Fig12Acc {
     overhead: Vec<u64>,
 }
 
-/// [`crate::experiments::fig12_with`] on the streaming path.
+/// [`crate::experiments::fig12`] on an explicit executor.
 ///
-/// Calibration runs stream (capture-less); the trace windows run through
-/// [`Executor::run_fold_supervised`], which folds each window's minute
-/// triples into the cumulative prefix sums **as windows complete**, in
-/// shard order — so the reduction holds one window's triples at a time
-/// instead of all seven, and the arithmetic happens in exactly the order
-/// the batch concatenation performs it.
+/// Per-query byte costs are *measured* from two calibration runs of the
+/// full simulator (baseline and TXT remedy, one shard each); the trace is
+/// then aggregated analytically (92.7M queries are not resolved one by
+/// one — the paper's own Fig. 12 likewise replays aggregate volumes).
+///
+/// Parallel decomposition: the cache model resets its TTL window every 60
+/// minutes, so the 420-minute trace is seven *independent* windows. Each
+/// window is one shard with its own splitmix draw stream (seeded from the
+/// shard seed), and [`Executor::run_fold_supervised`] folds each window's
+/// minute triples into the cumulative prefix sums in shard order as
+/// windows complete — the same bytes at any worker count, holding one
+/// window's triples at a time.
 ///
 /// With `LOOKASIDE_CHECKPOINT` set (the `repro --checkpoint` /
 /// `--resume` flags) the window sweep journals through
@@ -259,8 +161,15 @@ fn fig12_stream_inner(exec: &Executor, seed: u64, scale: u64, journal: Option<&P
     let cold_bytes_per_resolution = base.stats.total_bytes() as f64 / base.queried as f64;
     let txt_probes = txt.stats.queries_of(RrType::Txt).max(1);
     let txt_bytes_per_probe = txt.stats.bytes_of(RrType::Txt) as f64 / txt_probes as f64;
+    // Stub-side cost of answering one query (query + typical answer).
     let stub_bytes_per_query = 130.0;
 
+    // Cache model over the trace: domains drawn Zipf over 2M; a cache
+    // miss pays the cold upstream cost and (with the remedy) one TXT
+    // probe. The exponent is calibrated so the full-scale (scale = 1) run
+    // lands near the paper's ≈1.2 GB / 0.38 Mbps signaling overhead;
+    // sampled runs (scale > 1) overstate the miss rate and are for
+    // smoke-testing only.
     let windows: Vec<Vec<u64>> =
         trace.per_minute().chunks(60).map(|chunk| chunk.to_vec()).collect();
     let window_count = windows.len() as u64;
@@ -343,9 +252,42 @@ fn fig12_stream_inner(exec: &Executor, seed: u64, scale: u64, journal: Option<&P
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiments::run;
+    use crate::experiments::{RunOutcome, StatusTally};
+    use crate::leakage::classify;
+    use crate::Internet;
+    use crate::InternetParams;
 
-    fn assert_outcomes_match(stream: &RunOutcome, batch: &RunOutcome) {
+    /// The batch method: record the run's capture, then classify it.
+    fn capture_then_classify(config: &RunConfig) -> RunOutcome {
+        let limit = config.queries.max_rank().max(1);
+        let mut params = InternetParams::for_top(limit, config.population, config.remedy);
+        params.dlv_span_ttl = config.dlv_span_ttl;
+        params.dlv_denial = config.dlv_denial;
+        params.seed = config.seed;
+        params.capture = config.capture;
+        let mut internet = Internet::build(params);
+        let mut resolver = internet.resolver(config.resolver, config.seed ^ 0x5a17);
+        let names = config.queries.names(&internet);
+        let mut statuses = StatusTally::default();
+        for name in &names {
+            let result = resolver.resolve(&mut internet.net, name, RrType::A);
+            crate::parallel::tally(&mut statuses, &result);
+        }
+        RunOutcome {
+            stats: internet.net.stats().clone(),
+            leakage: classify(internet.net.capture(), &internet.dlv_apex),
+            counters: resolver.counters,
+            statuses,
+            elapsed_ns: internet.net.now_ns(),
+            queried: names.len(),
+        }
+    }
+
+    #[test]
+    fn stream_run_is_byte_identical_to_batch() {
+        let config = RunConfig::quick(25);
+        let stream = run_stream(&config);
+        let batch = capture_then_classify(&config);
         assert_eq!(stream.leakage, batch.leakage);
         assert_eq!(stream.stats, batch.stats);
         assert_eq!(stream.counters, batch.counters);
@@ -355,39 +297,40 @@ mod tests {
     }
 
     #[test]
-    fn stream_run_is_byte_identical_to_batch() {
-        let config = RunConfig::quick(25);
-        assert_outcomes_match(&run_stream(&config), &run(&config));
-    }
-
-    #[test]
     fn stream_honours_the_runs_capture_filter() {
         let mut config = RunConfig::quick(20);
         config.capture = CaptureFilter::None;
-        let stream = run_stream(&config);
-        let batch = run(&config);
-        // A capture-less batch run classifies an empty capture; the sink
-        // must reproduce that, not classify the unfiltered stream.
-        assert_eq!(stream.leakage, LeakageReport::default());
-        assert_outcomes_match(&stream, &batch);
+        let outcome = run_stream(&config);
+        // A capture-less run classifies nothing, however much DLV traffic
+        // crossed the wire.
+        assert_eq!(outcome.leakage, LeakageReport::default());
+        assert!(outcome.stats.queries_of(RrType::Dlv) > 0);
     }
 
+    /// The window fold equals the batch arithmetic — concatenate every
+    /// minute, then prefix-sum — and its bytes do not depend on the
+    /// worker count.
     #[test]
     fn stream_fig12_matches_batch_at_any_job_count() {
-        for exec in [Executor::serial(), Executor::new(4)] {
-            let stream = fig12_stream(&exec, 7, 500_000);
-            let batch = crate::experiments::fig12_with(&exec, 7, 500_000);
-            assert_eq!(stream.per_minute, batch.per_minute);
-            assert_eq!(stream.cumulative_queries, batch.cumulative_queries);
-            assert_eq!(stream.cumulative_baseline_bytes, batch.cumulative_baseline_bytes);
-            assert_eq!(stream.cumulative_overhead_bytes, batch.cumulative_overhead_bytes);
-            assert_eq!(stream.overhead_mbps, batch.overhead_mbps);
+        for seed in [7, 11, 13, 42] {
+            let serial = fig12_stream(&Executor::serial(), seed, 500_000);
+            let batch_queries: Vec<u64> = serial
+                .per_minute
+                .iter()
+                .scan(0u64, |cum, &volume| {
+                    *cum += volume;
+                    Some(*cum)
+                })
+                .collect();
+            assert_eq!(serial.cumulative_queries, batch_queries, "seed {seed}");
+            for jobs in [3, 4] {
+                let parallel = fig12_stream(&Executor::new(jobs), seed, 500_000);
+                assert_eq!(
+                    format!("{serial:?}"),
+                    format!("{parallel:?}"),
+                    "seed {seed} jobs {jobs}"
+                );
+            }
         }
-    }
-
-    #[test]
-    fn mode_defaults_to_stream() {
-        assert!(ExecMode::default().is_stream());
-        assert!(!ExecMode::Batch.is_stream());
     }
 }

@@ -13,34 +13,6 @@ use crate::queue::BoundedQueue;
 /// Environment variable overriding the default worker count.
 pub const JOBS_ENV: &str = "LOOKASIDE_JOBS";
 
-/// Environment variable forcing the streaming execution mode
-/// (`1`/`true`/`on`). Streaming has been the default since PR 9; this
-/// knob remains for scripts that set it explicitly and wins over
-/// [`BATCH_ENV`] when both are set. Streaming and batch are
-/// byte-identical by contract; the variables only pick which machinery
-/// produces those bytes.
-pub const STREAM_ENV: &str = "LOOKASIDE_STREAM";
-
-/// Environment variable opting out of the streaming default and into the
-/// batch oracle (`1`/`true`/`on`) — the `repro --batch` flag sets it.
-pub const BATCH_ENV: &str = "LOOKASIDE_BATCH";
-
-pub(crate) fn env_flag(name: &str) -> bool {
-    // lint:allow(determinism::env-read) -- LOOKASIDE_STREAM/LOOKASIDE_BATCH pick between two byte-identical execution paths; they can never reach results
-    matches!(env::var(name).ok().as_deref().map(str::trim), Some("1" | "true" | "on"))
-}
-
-/// Whether batch execution was requested via [`BATCH_ENV`].
-pub fn batch_requested() -> bool {
-    env_flag(BATCH_ENV)
-}
-
-/// Whether streaming execution is selected: the default, unless
-/// [`BATCH_ENV`] opts out. An explicit [`STREAM_ENV`] always wins.
-pub fn stream_requested() -> bool {
-    env_flag(STREAM_ENV) || !batch_requested()
-}
-
 /// A shard that panicked instead of producing a result.
 ///
 /// Panic isolation keeps one bad cell from poisoning a whole sweep: the

@@ -1,7 +1,7 @@
 //! Streaming shard driver: fold results into one accumulator in shard-id
 //! order instead of materialising a `Vec` of per-shard outputs.
 //!
-//! This is the engine half of the streaming trace mode. `Executor::run`
+//! This is the engine half of the capture-less run path. `Executor::run`
 //! keeps every shard's result alive until the caller reduces them —
 //! O(shards) results, but each result may itself hold O(queries) state
 //! (packet captures). [`Executor::run_fold`] instead hands each finished

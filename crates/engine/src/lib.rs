@@ -55,10 +55,7 @@ mod supervisor;
 pub use checkpoint::{
     crc32, run_fingerprint, Checkpoint, JournalCodec, JournalError, JOURNAL_MAGIC, JOURNAL_VERSION,
 };
-pub use executor::{
-    batch_requested, expect_all, stream_requested, Executor, ShardError, BATCH_ENV, JOBS_ENV,
-    STREAM_ENV,
-};
+pub use executor::{expect_all, Executor, ShardError, JOBS_ENV};
 pub use plan::{Shard, ShardPlan};
 pub use queue::BoundedQueue;
 pub use seed::splitmix64;

@@ -64,7 +64,8 @@ pub const CHECKPOINT_ENV: &str = "LOOKASIDE_CHECKPOINT";
 
 /// Whether degraded sweeps should be accepted ([`ALLOW_PARTIAL_ENV`]).
 pub fn allow_partial_requested() -> bool {
-    crate::executor::env_flag(ALLOW_PARTIAL_ENV)
+    // lint:allow(determinism::env-read) -- LOOKASIDE_ALLOW_PARTIAL only decides whether a degraded sweep aborts; the shards it drops are printed in the coverage table, never silently
+    matches!(env::var(ALLOW_PARTIAL_ENV).ok().as_deref().map(str::trim), Some("1" | "true" | "on"))
 }
 
 /// The journal path for checkpointed sweeps, when [`CHECKPOINT_ENV`] is

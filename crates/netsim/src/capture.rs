@@ -7,28 +7,9 @@
 //! resolver-internal bookkeeping.
 
 use std::net::Ipv4Addr;
-use std::sync::atomic::{AtomicBool, Ordering};
 
 use lookaside_wire::{Name, NameTable, Rcode, RrType};
 use serde::{Deserialize, Serialize};
-
-/// Process-wide switch for qname interning in captures (on by default).
-///
-/// Interning is purely a storage optimisation — it can never change a
-/// packet's qname value, only which allocation backs it — so flipping this
-/// must not change any observable output. The property tests assert exactly
-/// that by running the same experiment with interning on and off.
-static CAPTURE_INTERNING: AtomicBool = AtomicBool::new(true);
-
-/// Enables or disables qname interning for subsequently recorded packets.
-pub fn set_capture_interning(enabled: bool) {
-    CAPTURE_INTERNING.store(enabled, Ordering::Relaxed);
-}
-
-/// Whether capture qname interning is currently enabled.
-pub fn capture_interning() -> bool {
-    CAPTURE_INTERNING.load(Ordering::Relaxed)
-}
 
 /// Direction of a captured packet relative to the resolver.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -78,10 +59,10 @@ pub enum CaptureFilter {
 impl CaptureFilter {
     /// Whether a packet of this query type would be retained.
     ///
-    /// Public so streaming accumulators (which replace the capture
-    /// entirely) can apply exactly the retention rule the batch path would
-    /// have applied — the byte-identity contract between the two modes
-    /// hinges on this predicate being shared, not re-derived.
+    /// Public so packet sinks apply exactly the retention rule the capture
+    /// applies: the check that a sink's fold equals classifying the
+    /// capture of the same run hinges on this predicate being shared, not
+    /// re-derived.
     pub fn keeps(self, qtype: RrType) -> bool {
         match self {
             CaptureFilter::All => true,
@@ -113,9 +94,7 @@ impl Capture {
     /// Records a packet if the filter keeps it.
     pub fn record(&mut self, mut packet: Packet) {
         if self.filter.keeps(packet.qtype) {
-            if capture_interning() {
-                packet.qname = self.names.intern(&packet.qname);
-            }
+            packet.qname = self.names.intern(&packet.qname);
             self.packets.push(packet);
         }
     }
@@ -160,12 +139,9 @@ impl Capture {
     /// record time; they are appended verbatim, not re-filtered.
     // lint:sink(determinism)
     pub fn merge(&mut self, other: &Capture) {
-        let intern = capture_interning();
         for p in &other.packets {
             let mut p = p.clone();
-            if intern {
-                p.qname = self.names.intern(&p.qname);
-            }
+            p.qname = self.names.intern(&p.qname);
             self.packets.push(p);
         }
     }

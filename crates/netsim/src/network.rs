@@ -245,7 +245,7 @@ impl Network {
     /// Installs a streaming packet observer (see [`PacketSink`]). The sink
     /// is shown every packet the capture would see — unfiltered, in
     /// capture order — so a fold over it can replace the capture entirely.
-    /// Streaming runs pair this with [`CaptureFilter::None`].
+    /// Experiment runs pair this with [`CaptureFilter::None`].
     pub fn set_observer(&mut self, sink: Box<dyn PacketSink>) {
         self.observer = Some(sink);
     }

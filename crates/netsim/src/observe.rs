@@ -1,17 +1,20 @@
 // lint:stream-hot-path
-//! Streaming packet observers — the fold-style alternative to [`Capture`].
+//! Streaming packet observers — the fold-style companion to [`Capture`].
 //!
-//! Batch experiments record packets into a capture and analyse the vector
-//! afterwards; that is faithful to the paper's pcap pipeline but costs
-//! O(queries) memory. A [`PacketSink`] instead sees each packet at the
-//! moment [`crate::Network`] would have recorded it and folds it into an
-//! accumulator immediately, so the network retains nothing.
+//! A capture records packets for analysis afterwards; that is the paper's
+//! pcap pipeline, but it costs O(queries) memory. A [`PacketSink`] instead
+//! sees each packet at the moment [`crate::Network`] records it and folds
+//! it into an accumulator immediately. Experiments run on sinks; the
+//! capture stays as the pcap that tests classify and compare against.
 //!
-//! Equivalence contract: the network shows a sink **every** packet it
+//! Observer contract: the network shows a sink **every** packet it
 //! builds, unfiltered, in capture order — the same packets, in the same
-//! order, that a [`CaptureFilter::All`] capture would retain. A sink that
-//! wants batch-identical results applies the run's [`CaptureFilter`] via
-//! [`CaptureFilter::keeps`] itself, mirroring what `Capture::record` does.
+//! order, that a [`CaptureFilter::All`] capture retains, lost queries
+//! included — and `Network::reset_measurement` clears both. A sink that
+//! wants a filtered capture's result applies the run's [`CaptureFilter`]
+//! via [`CaptureFilter::keeps`] itself, mirroring what `Capture::record`
+//! does. `tests/properties.rs` checks the contract under loss,
+//! duplication and blackholed links.
 //!
 //! This module is tagged as streaming steady-state: `observe` runs once
 //! per packet for tens of millions of packets, so it must not allocate.
@@ -28,8 +31,8 @@ use crate::capture::{Direction, Packet};
 /// A streaming observer of simulated packets.
 ///
 /// Implementations fold packets into aggregate state; they must be pure
-/// functions of the packet stream so that streaming and batch execution
-/// stay byte-identical.
+/// functions of the packet stream, so that folding a run's packets equals
+/// analysing its capture.
 pub trait PacketSink {
     /// Called once per packet, in capture order, before loss is applied to
     /// queries (a lost query is still a sent query, exactly as captures
@@ -53,8 +56,8 @@ impl<S: PacketSink + ?Sized> PacketSink for Rc<RefCell<S>> {
     }
 }
 
-/// Counts DLV-type query packets — the streaming replacement for
-/// `capture().dlv_queries().count()` in the chaos harness.
+/// Counts DLV-type query packets — what `capture().dlv_queries().count()`
+/// reports, without retaining the packets (the chaos harness uses it).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DlvQueryCounter {
     /// Number of DLV queries (not responses) observed since the last reset.

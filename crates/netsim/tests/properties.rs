@@ -1,12 +1,14 @@
 //! Property-based tests for the network simulator.
 
+use std::cell::RefCell;
 use std::net::Ipv4Addr;
+use std::rc::Rc;
 
 use proptest::prelude::*;
 
 use lookaside_netsim::{
     Capture, CaptureFilter, Direction, DnsHandler, FaultPlane, LatencyModel, LinkFaults, Network,
-    Packet, TrafficStats,
+    Packet, PacketSink, TrafficStats,
 };
 use lookaside_wire::{Message, MessageBuilder, Name, Rcode, RrType};
 
@@ -132,6 +134,69 @@ proptest! {
         prop_assert_eq!(text_a, text_b, "capture text must replay byte-identically");
         prop_assert_eq!(stats_a, stats_b);
         prop_assert_eq!(clock_a, clock_b);
+    }
+
+    /// The observer contract: a sink is shown exactly the packets a
+    /// `CaptureFilter::All` capture retains, in the same order, under
+    /// loss, duplication and a blackholed link — lost queries included —
+    /// and `reset_measurement` clears both.
+    #[test]
+    fn sink_sees_exactly_what_an_all_capture_retains(
+        seed in any::<u64>(),
+        loss in 0u16..600,
+        dup in 0u16..300,
+        reset_at in 0u16..40,
+    ) {
+        let lossy = Ipv4Addr::new(203, 0, 113, 7);
+        let dead = Ipv4Addr::new(203, 0, 113, 8);
+        let mut net = Network::new(seed);
+        net.set_capture_filter(CaptureFilter::All);
+        net.register(lossy, "lossy", Box::new(Echo));
+        net.register(dead, "dead", Box::new(Echo));
+        let mut plane = FaultPlane::new(seed ^ 0x0b5e);
+        plane.set_link(lossy, LinkFaults::quiet().with_loss_milli(loss).with_duplicate_milli(dup));
+        plane.set_link(dead, LinkFaults::quiet().with_blackhole());
+        net.set_fault_plane(plane);
+        let sink = Rc::new(RefCell::new(Recorder::default()));
+        net.set_observer(Box::new(Rc::clone(&sink)));
+
+        let mut sent = 0;
+        for i in 0..40u16 {
+            if i == reset_at {
+                net.reset_measurement();
+                prop_assert!(sink.borrow().0.is_empty(), "reset must clear the sink");
+                prop_assert!(net.capture().is_empty(), "reset must clear the capture");
+                sent = 0;
+            }
+            let dst = if i % 5 == 4 { dead } else { lossy };
+            let qtype = if i % 3 == 0 { RrType::Dlv } else { RrType::A };
+            let qname = Name::parse(&format!("q{i}.example.com.")).expect("valid name");
+            let _ = net.exchange(dst, &Message::dnssec_query(i, qname, qtype));
+            sent += 1;
+        }
+
+        let seen = &sink.borrow().0;
+        prop_assert_eq!(seen.as_slice(), net.capture().packets());
+        let queries = seen.iter().filter(|p| p.direction == Direction::Query).count();
+        prop_assert_eq!(queries, sent, "every sent query is observed, lost or not");
+        // The blackholed link answers nothing, yet its queries are seen.
+        let to_dead = |dir| seen.iter().filter(|p| p.dst == dead && p.direction == dir).count();
+        prop_assert!(to_dead(Direction::Query) > 0);
+        prop_assert_eq!(to_dead(Direction::Response), 0);
+    }
+}
+
+/// A sink that keeps every packet it is shown.
+#[derive(Default)]
+struct Recorder(Vec<Packet>);
+
+impl PacketSink for Recorder {
+    fn observe(&mut self, packet: &Packet) {
+        self.0.push(packet.clone());
+    }
+
+    fn reset(&mut self) {
+        self.0.clear();
     }
 }
 
