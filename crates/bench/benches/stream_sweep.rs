@@ -15,8 +15,9 @@
 //! * **Fig. 12 cache-model throughput** — the full trace replay through
 //!   [`fig12_stream`] on a 4-worker pool, reporting cache-model samples
 //!   (one Zipf draw and one bitmap probe each, not a resolution) per
-//!   second. The full-scale figure is 92.7M queries; the measured rate is
-//!   what makes `repro fig12 --full` a minutes-scale run.
+//!   second. The full-scale figure is 92.7M queries, one sample each; at
+//!   the measured rate `repro fig12 --full` is a seconds-scale run (about
+//!   5 s at `--jobs 4` on 2 vCPUs).
 //!
 //! Output: human-readable `bench stream_sweep/...` lines plus
 //! `target/ci/BENCH_pr8.json` (the tracked `BENCH_pr8.json` at the

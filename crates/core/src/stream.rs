@@ -106,10 +106,11 @@ struct Fig12Acc {
 /// Parallel decomposition: the cache model resets its TTL window every 60
 /// minutes, so the 420-minute trace is seven *independent* windows. Each
 /// window is one shard with its own splitmix draw stream (seeded from the
-/// shard seed), and [`Executor::run_fold_supervised`] folds each window's
-/// minute triples into the cumulative prefix sums in shard order as
-/// windows complete — the same bytes at any worker count, holding one
-/// window's triples at a time.
+/// shard seed) and its own `seen` bitset; all windows borrow the one
+/// Zipf(2M, 0.92) table built per call. [`Executor::run_fold_supervised`]
+/// folds each window's minute triples into the cumulative prefix sums in
+/// shard order as windows complete — the same bytes at any worker count,
+/// holding one window's triples at a time.
 ///
 /// With `LOOKASIDE_CHECKPOINT` set (the `repro --checkpoint` /
 /// `--resume` flags) the window sweep journals through
@@ -175,9 +176,10 @@ fn fig12_stream_inner(exec: &Executor, seed: u64, scale: u64, journal: Option<&P
     let window_count = windows.len() as u64;
     let shards = ShardPlan::new(seed ^ 0xd17f).over(windows);
     let minutes_total = trace.per_minute().len();
+    let zipf = Zipf::new(2_000_000, 0.92);
     let task = |shard: &lookaside_engine::Shard<Vec<u64>>| {
-        let zipf = Zipf::new(2_000_000, 0.92);
-        let mut seen = vec![false; zipf.n() + 1];
+        // One bit per rank (1..=n): 2M ranks fit in 250 KiB.
+        let mut seen = vec![0u64; zipf.n() / 64 + 1];
         let mut rng_state = shard.seed;
         let mut next = || {
             rng_state = rng_state.wrapping_add(0x9e37_79b9_7f4a_7c15);
@@ -192,8 +194,9 @@ fn fig12_stream_inner(exec: &Executor, seed: u64, scale: u64, journal: Option<&P
             let mut misses = 0u64;
             for _ in 0..sampled {
                 let domain = zipf.sample_hash(next());
-                if !seen[domain] {
-                    seen[domain] = true;
+                let (word, bit) = (domain / 64, 1u64 << (domain % 64));
+                if seen[word] & bit == 0 {
+                    seen[word] |= bit;
                     misses += 1;
                 }
             }
