@@ -17,7 +17,7 @@
 //!   (one Zipf draw and one bitmap probe each, not a resolution) per
 //!   second. The full-scale figure is 92.7M queries, one sample each; at
 //!   the measured rate `repro fig12 --full` is a seconds-scale run (about
-//!   5 s at `--jobs 4` on 2 vCPUs).
+//!   3 s at `--jobs 4` on 2 vCPUs).
 //!
 //! Output: human-readable `bench stream_sweep/...` lines plus
 //! `target/ci/BENCH_pr8.json` (the tracked `BENCH_pr8.json` at the
@@ -81,6 +81,10 @@ const ALLOC_CEILING: u64 = 2;
 /// 92.7M modeled queries actually run through the cache model.
 const FIG12_SCALE: u64 = 100;
 
+/// Worker pool of the Fig. 12 replay (more than the cores of a 2-vCPU
+/// box, so the JSON records `nproc` beside it).
+const FIG12_WORKERS: usize = 4;
+
 fn main() {
     // --- steady state: warm-cache resolution through the capture-less path.
     let population = PopulationParams { size: 1000, ..PopulationParams::default() };
@@ -127,7 +131,8 @@ fn main() {
     drop(internet);
 
     // --- throughput: the Fig. 12 cache-model replay on four workers.
-    let exec = Executor::new(4);
+    let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let exec = Executor::new(FIG12_WORKERS);
     black_box(fig12_stream(&exec, SEED, FIG12_SCALE)); // warm-up
     let started = Instant::now();
     let data = black_box(fig12_stream(&exec, SEED, FIG12_SCALE));
@@ -138,7 +143,7 @@ fn main() {
     let modeled_qps = modeled_queries as f64 / seconds;
     println!(
         "bench stream_sweep/fig12: {modeled_queries} modeled queries \
-         ({sampled_queries} sampled at 1/{FIG12_SCALE}) in {seconds:.2}s on 4 workers"
+         ({sampled_queries} sampled at 1/{FIG12_SCALE}) in {seconds:.2}s on {FIG12_WORKERS} workers (nproc {nproc})"
     );
     println!(
         "bench stream_sweep/fig12: {samples_per_sec:.0} cache-model samples/sec \
@@ -146,7 +151,7 @@ fn main() {
     );
 
     let json = format!(
-        "{{\n  \"bench\": \"stream_sweep\",\n  \"steady_state\": {{\"warm_domains\": {WARM_DOMAINS}, \"rounds\": {STEADY_ROUNDS}, \"queries\": {steady_queries}, \"allocations\": {steady_allocs}, \"bytes\": {steady_bytes}, \"allocations_per_query\": {allocs_per_query}, \"bytes_per_query\": {bytes_per_query}, \"ceiling_allocs_per_query\": {ALLOC_CEILING}}},\n  \"fig12_stream\": {{\"seed\": {SEED}, \"scale\": {FIG12_SCALE}, \"workers\": 4, \"modeled_queries\": {modeled_queries}, \"sampled_queries\": {sampled_queries}, \"seconds\": {seconds:.3}, \"cache_model_samples_per_sec\": {samples_per_sec:.0}, \"modeled_queries_per_sec\": {modeled_qps:.0}}}\n}}\n"
+        "{{\n  \"bench\": \"stream_sweep\",\n  \"steady_state\": {{\"warm_domains\": {WARM_DOMAINS}, \"rounds\": {STEADY_ROUNDS}, \"queries\": {steady_queries}, \"allocations\": {steady_allocs}, \"bytes\": {steady_bytes}, \"allocations_per_query\": {allocs_per_query}, \"bytes_per_query\": {bytes_per_query}, \"ceiling_allocs_per_query\": {ALLOC_CEILING}}},\n  \"fig12_stream\": {{\"seed\": {SEED}, \"scale\": {FIG12_SCALE}, \"workers\": {FIG12_WORKERS}, \"nproc\": {nproc}, \"modeled_queries\": {modeled_queries}, \"sampled_queries\": {sampled_queries}, \"seconds\": {seconds:.3}, \"cache_model_samples_per_sec\": {samples_per_sec:.0}, \"modeled_queries_per_sec\": {modeled_qps:.0}}}\n}}\n"
     );
     let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../target/ci");
     let path = format!("{dir}/BENCH_pr8.json");

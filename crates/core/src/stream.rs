@@ -17,6 +17,7 @@
 //! import from this module.
 
 use std::path::Path;
+use std::sync::{Mutex, PoisonError};
 
 use lookaside_engine::{Checkpoint, Executor, ShardPlan};
 use lookaside_netsim::{CaptureFilter, Direction, Packet, PacketSink};
@@ -25,7 +26,7 @@ use lookaside_wire::{Name, Rcode, RrType};
 use lookaside_workload::{DitlTrace, Zipf};
 
 pub use crate::experiments::run as run_stream;
-use crate::experiments::{Fig12Data, RunConfig};
+use crate::experiments::{Fig12Data, RunConfig, RunOutcome};
 use crate::leakage::LeakageReport;
 
 /// The streaming Case-1/Case-2 classifier: `classify()` refactored into a
@@ -103,14 +104,24 @@ struct Fig12Acc {
 /// then aggregated analytically (92.7M queries are not resolved one by
 /// one — the paper's own Fig. 12 likewise replays aggregate volumes).
 ///
+/// Set-up is one supervised prep sweep. The two calibration shards come
+/// first, then the weights of the Zipf(2M, 0.92) cache model in 64k-rank
+/// chunks, each shard writing its chunk in place into one pre-sized
+/// buffer ([`Zipf::fill_terms`]). The running sum, normalisation and
+/// guide table then run serially in rank order ([`Zipf::from_terms`]),
+/// so the table is [`Zipf::new`]'s, bit for bit. A missing prep shard
+/// aborts the figure, `--allow-partial` or not.
+///
 /// Parallel decomposition: the cache model resets its TTL window every 60
 /// minutes, so the 420-minute trace is seven *independent* windows. Each
 /// window is one shard with its own splitmix draw stream (seeded from the
 /// shard seed) and its own `seen` bitset; all windows borrow the one
-/// Zipf(2M, 0.92) table built per call. [`Executor::run_fold_supervised`]
-/// folds each window's minute triples into the cumulative prefix sums in
-/// shard order as windows complete — the same bytes at any worker count,
-/// holding one window's triples at a time.
+/// table. A window draws in blocks of 16 through [`Zipf::sample_hashes`]
+/// (the tail of each minute one by one) and probes `seen` in draw order.
+/// [`Executor::run_fold_supervised`] folds each window's minute triples
+/// into the cumulative prefix sums in shard order as windows complete —
+/// the same bytes at any worker count, holding one window's triples at a
+/// time.
 ///
 /// With `LOOKASIDE_CHECKPOINT` set (the `repro --checkpoint` /
 /// `--resume` flags) the window sweep journals through
@@ -137,28 +148,95 @@ pub fn fig12_stream_checkpointed(
     fig12_stream_inner(exec, seed, scale, Some(journal))
 }
 
+/// Cache-model support size and exponent.
+const MODEL_RANKS: usize = 2_000_000;
+const MODEL_S: f64 = 0.92;
+
+/// Ranks of Zipf weights one prep shard fills.
+const TERM_CHUNK: usize = 1 << 16;
+
+/// Draws the window loop hands [`Zipf::sample_hashes`] at a time.
+const DRAW_BLOCK: usize = 16;
+
+/// One shard of the Fig. 12 prep sweep.
+enum Prep<'a> {
+    /// A calibration run of the full simulator under this remedy.
+    Calibrate(RemedyMode),
+    /// Fill the Zipf weights of ranks `first_rank..` into this slice of
+    /// the shared table. A duplicate dispatch waits for the lock and
+    /// writes the same values again.
+    Terms { first_rank: usize, terms: Mutex<&'a mut [f64]> },
+}
+
+/// What a prep shard produced.
+enum Prepared {
+    Calibrated(Box<RunOutcome>),
+    Filled,
+}
+
+/// The prep sweep's calibration runs (baseline, then TXT), once every
+/// shard reported back; the shards come in plan order, calibrations first.
+///
+/// # Panics
+///
+/// Panics if any shard is missing, `--allow-partial` or not: every window
+/// cost derives from calibration, and a missing term shard would leave
+/// zero weights in the Zipf table.
+fn prep_results(done: Vec<Option<Prepared>>) -> (RunOutcome, RunOutcome) {
+    let mut done = done.into_iter();
+    let mut calibration = || match done.next().flatten() {
+        Some(Prepared::Calibrated(run)) => *run,
+        _ => panic!("fig12 calibration shard failed; the figure cannot be produced"),
+    };
+    let (base, txt) = (calibration(), calibration());
+    assert!(
+        done.all(|shard| matches!(shard, Some(Prepared::Filled))),
+        "fig12 Zipf weight shard failed; the table would hold zero weights"
+    );
+    (base, txt)
+}
+
 fn fig12_stream_inner(exec: &Executor, seed: u64, scale: u64, journal: Option<&Path>) -> Fig12Data {
     assert!(scale >= 1);
+    // The table buffer is the call's first allocation. Allocated after the
+    // trace and the prep sweep's bookkeeping, small blocks freed above it
+    // kept its 16 MiB from being reused by the next call, and repeated
+    // calls settled at a peak RSS 16 MiB higher.
+    let mut terms = vec![0.0; MODEL_RANKS];
     let trace = DitlTrace::generate(seed);
     let sup = crate::parallel::supervisor();
 
-    let calib = ShardPlan::new(seed ^ 0xca11b).over([RemedyMode::None, RemedyMode::TxtSignal]);
-    let calibrated = crate::parallel::accept(exec.run_supervised(
-        &calib,
-        |shard| {
-            let mut cfg = RunConfig::quick(60);
-            cfg.remedy = shard.input;
-            cfg.capture = CaptureFilter::None;
-            run_stream(&cfg)
+    // The calibrations and the weight chunks share one sweep, so neither
+    // leaves a worker idle while the other runs.
+    let calibrations = [RemedyMode::None, RemedyMode::TxtSignal].map(Prep::Calibrate);
+    let chunks = (1..)
+        .step_by(TERM_CHUNK)
+        .zip(terms.chunks_mut(TERM_CHUNK))
+        .map(|(first_rank, chunk)| Prep::Terms { first_rank, terms: Mutex::new(chunk) });
+    let prep = ShardPlan::new(seed ^ 0xca11b).over(calibrations.into_iter().chain(chunks));
+    let prepared = crate::parallel::accept(exec.run_supervised(
+        &prep,
+        |shard| match &shard.input {
+            Prep::Calibrate(remedy) => {
+                let mut cfg = RunConfig::quick(60);
+                cfg.remedy = *remedy;
+                cfg.capture = CaptureFilter::None;
+                Prepared::Calibrated(Box::new(run_stream(&cfg)))
+            }
+            Prep::Terms { first_rank, terms } => {
+                // A fill that panicked left part of its chunk written; the
+                // retry rewrites every value, so a poisoned lock is safe.
+                let mut terms = terms.lock().unwrap_or_else(PoisonError::into_inner);
+                Zipf::fill_terms(&mut terms, *first_rank, MODEL_S);
+                Prepared::Filled
+            }
         },
         &sup,
     ));
-    let (base, txt) = match (&calibrated[0], &calibrated[1]) {
-        (Some(base), Some(txt)) => (base, txt),
-        // Every window cost derives from calibration; there is no
-        // partial figure without it, --allow-partial or not.
-        _ => panic!("fig12 calibration shard failed; the figure cannot be produced"),
-    };
+    drop(prep);
+    let (base, txt) = prep_results(prepared);
+    let zipf = Zipf::from_terms(terms);
+
     let cold_bytes_per_resolution = base.stats.total_bytes() as f64 / base.queried as f64;
     let txt_probes = txt.stats.queries_of(RrType::Txt).max(1);
     let txt_bytes_per_probe = txt.stats.bytes_of(RrType::Txt) as f64 / txt_probes as f64;
@@ -176,7 +254,6 @@ fn fig12_stream_inner(exec: &Executor, seed: u64, scale: u64, journal: Option<&P
     let window_count = windows.len() as u64;
     let shards = ShardPlan::new(seed ^ 0xd17f).over(windows);
     let minutes_total = trace.per_minute().len();
-    let zipf = Zipf::new(2_000_000, 0.92);
     let task = |shard: &lookaside_engine::Shard<Vec<u64>>| {
         // One bit per rank (1..=n): 2M ranks fit in 250 KiB.
         let mut seen = vec![0u64; zipf.n() / 64 + 1];
@@ -192,13 +269,21 @@ fn fig12_stream_inner(exec: &Executor, seed: u64, scale: u64, journal: Option<&P
         for &volume in &shard.input {
             let sampled = volume / scale;
             let mut misses = 0u64;
-            for _ in 0..sampled {
-                let domain = zipf.sample_hash(next());
+            let mut probe = |domain: usize| {
                 let (word, bit) = (domain / 64, 1u64 << (domain % 64));
                 if seen[word] & bit == 0 {
                     seen[word] |= bit;
                     misses += 1;
                 }
+            };
+            // Whole blocks through the staged sampler, the tail one by
+            // one: the same draws, ranks and probes in the same order.
+            for _ in 0..sampled / DRAW_BLOCK as u64 {
+                let hashes: [u64; DRAW_BLOCK] = std::array::from_fn(|_| next());
+                zipf.sample_hashes(&hashes).into_iter().for_each(&mut probe);
+            }
+            for _ in 0..sampled % DRAW_BLOCK as u64 {
+                probe(zipf.sample_hash(next()));
             }
             let scaled_misses = misses * scale;
             let base_bytes = (volume as f64 * stub_bytes_per_query) as u64
@@ -255,7 +340,7 @@ fn fig12_stream_inner(exec: &Executor, seed: u64, scale: u64, journal: Option<&P
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiments::{RunOutcome, StatusTally};
+    use crate::experiments::StatusTally;
     use crate::leakage::classify;
     use crate::Internet;
     use crate::InternetParams;
@@ -308,6 +393,32 @@ mod tests {
         // crossed the wire.
         assert_eq!(outcome.leakage, LeakageReport::default());
         assert!(outcome.stats.queries_of(RrType::Dlv) > 0);
+    }
+
+    fn calibrated(names: usize) -> Option<Prepared> {
+        Some(Prepared::Calibrated(Box::new(run_stream(&RunConfig::quick(names)))))
+    }
+
+    #[test]
+    fn prep_results_are_the_calibrations_in_plan_order() {
+        let filled = || Some(Prepared::Filled);
+        let (base, txt) = prep_results(vec![calibrated(3), calibrated(4), filled(), filled()]);
+        assert_eq!((base.queried, txt.queried), (3, 4));
+    }
+
+    /// `--allow-partial` hands the prep sweep's partial results on; the
+    /// assembly must still refuse them rather than build a figure.
+    #[test]
+    #[should_panic(expected = "fig12 calibration shard failed")]
+    fn prep_without_a_calibration_panics() {
+        prep_results(vec![calibrated(3), None, Some(Prepared::Filled)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "fig12 Zipf weight shard failed")]
+    fn prep_without_a_weight_shard_panics() {
+        let filled = || Some(Prepared::Filled);
+        prep_results(vec![calibrated(3), calibrated(3), filled(), None, filled()]);
     }
 
     /// The window fold equals the batch arithmetic — concatenate every

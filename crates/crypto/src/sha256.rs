@@ -55,84 +55,88 @@ impl Sha256 {
         self.total_len = self.total_len.wrapping_add(data.len() as u64);
         let mut input = data;
         if self.buffer_len > 0 {
-            let need = 64 - self.buffer_len;
-            let take = need.min(input.len());
-            self.buffer[self.buffer_len..self.buffer_len + take].copy_from_slice(&input[..take]);
-            self.buffer_len += take;
-            input = &input[take..];
+            let free = self.buffer.get_mut(self.buffer_len..).unwrap_or_default();
+            let take = free.len().min(input.len());
+            let (head, rest) = input.split_at_checked(take).unwrap_or((input, &[]));
+            if let Some(dst) = free.get_mut(..head.len()) {
+                dst.copy_from_slice(head);
+            }
+            self.buffer_len += head.len();
+            input = rest;
             if self.buffer_len == 64 {
-                let block = self.buffer;
-                self.compress(&block);
+                compress(&mut self.state, &self.buffer);
                 self.buffer_len = 0;
             }
         }
-        while input.len() >= 64 {
-            let mut block = [0u8; 64];
-            block.copy_from_slice(&input[..64]);
-            self.compress(&block);
-            input = &input[64..];
+        let (blocks, rest) = input.as_chunks::<64>();
+        for block in blocks {
+            compress(&mut self.state, block);
         }
-        if !input.is_empty() {
-            self.buffer[..input.len()].copy_from_slice(input);
-            self.buffer_len = input.len();
+        if let Some(dst) = self.buffer.get_mut(self.buffer_len..self.buffer_len + rest.len()) {
+            dst.copy_from_slice(rest);
+            self.buffer_len += rest.len();
         }
     }
 
     /// Finishes the hash and returns the 32-byte digest.
     pub fn finalize(mut self) -> [u8; 32] {
         let bit_len = self.total_len.wrapping_mul(8);
-        self.update(&[0x80]);
-        while self.buffer_len != 56 {
-            self.update(&[0]);
+        // 0x80, then zeros up to 56 bytes into a block, then the length:
+        // one trailer, absorbed in one update.
+        let zeros = (55 + 64 - self.buffer_len) % 64;
+        let mut trailer = [0u8; 1 + 63 + 8];
+        if let Some((marker, rest)) = trailer.split_first_mut() {
+            *marker = 0x80;
+            if let Some(len) = rest.get_mut(zeros..zeros + 8) {
+                len.copy_from_slice(&bit_len.to_be_bytes());
+            }
         }
-        // Manual length append: update() would re-count these bytes.
-        self.buffer[56..64].copy_from_slice(&bit_len.to_be_bytes());
-        let block = self.buffer;
-        self.compress(&block);
+        self.update(trailer.get(..1 + zeros + 8).unwrap_or_default());
 
         let mut out = [0u8; 32];
-        for (i, word) in self.state.iter().enumerate() {
-            out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
+        for (bytes, word) in out.as_chunks_mut::<4>().0.iter_mut().zip(self.state) {
+            *bytes = word.to_be_bytes();
         }
         out
     }
+}
 
-    fn compress(&mut self, block: &[u8; 64]) {
-        let mut w = [0u32; 64];
-        for (i, chunk) in block.chunks_exact(4).enumerate() {
-            w[i] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
+/// One SHA-256 compression of `block` into `state`.
+fn compress(state: &mut [u32; 8], block: &[u8; 64]) {
+    let mut w = [0u32; 64];
+    for (word, bytes) in w.iter_mut().zip(block.as_chunks::<4>().0) {
+        *word = u32::from_be_bytes(*bytes);
+    }
+    for i in 16..64 {
+        let at = |k: usize| w.get(k).copied().unwrap_or(0);
+        let (w15, w2) = (at(i - 15), at(i - 2));
+        let s0 = w15.rotate_right(7) ^ w15.rotate_right(18) ^ (w15 >> 3);
+        let s1 = w2.rotate_right(17) ^ w2.rotate_right(19) ^ (w2 >> 10);
+        let next = at(i - 16).wrapping_add(s0).wrapping_add(at(i - 7)).wrapping_add(s1);
+        if let Some(slot) = w.get_mut(i) {
+            *slot = next;
         }
-        for i in 16..64 {
-            let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
-            let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
-            w[i] = w[i - 16].wrapping_add(s0).wrapping_add(w[i - 7]).wrapping_add(s1);
-        }
+    }
 
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
-        for i in 0..64 {
-            let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
-            let ch = (e & f) ^ (!e & g);
-            let t1 = h.wrapping_add(s1).wrapping_add(ch).wrapping_add(K[i]).wrapping_add(w[i]);
-            let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
-            let maj = (a & b) ^ (a & c) ^ (b & c);
-            let t2 = s0.wrapping_add(maj);
-            h = g;
-            g = f;
-            f = e;
-            e = d.wrapping_add(t1);
-            d = c;
-            c = b;
-            b = a;
-            a = t1.wrapping_add(t2);
-        }
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
-        self.state[5] = self.state[5].wrapping_add(f);
-        self.state[6] = self.state[6].wrapping_add(g);
-        self.state[7] = self.state[7].wrapping_add(h);
+    let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
+    for (&k, &wi) in K.iter().zip(&w) {
+        let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
+        let ch = (e & f) ^ (!e & g);
+        let t1 = h.wrapping_add(s1).wrapping_add(ch).wrapping_add(k).wrapping_add(wi);
+        let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
+        let maj = (a & b) ^ (a & c) ^ (b & c);
+        let t2 = s0.wrapping_add(maj);
+        h = g;
+        g = f;
+        f = e;
+        e = d.wrapping_add(t1);
+        d = c;
+        c = b;
+        b = a;
+        a = t1.wrapping_add(t2);
+    }
+    for (word, v) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+        *word = word.wrapping_add(v);
     }
 }
 
@@ -187,6 +191,26 @@ mod tests {
             to_hex(&sha256(&data)),
             "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
         );
+    }
+
+    /// Every padding case: the `0x80` marker and length in the last
+    /// block (< 56 bytes left), or spilling into one more block.
+    #[test]
+    fn padding_boundaries_match_reference_digests() {
+        let cases = [
+            (1, "ca978112ca1bbdcafac231b39a23dc4da786eff8147c4e72b9807785afee48bb"),
+            (55, "9f4390f8d30c2dd92ec9f095b65e2b9ae9b0a925a5258e241c9f1e910f734318"),
+            (56, "b35439a4ac6f0948b6d6f9e3c6af0f5f590ce20f1bde7090ef7970686ec6738a"),
+            (63, "7d3e74a05d7db15bce4ad9ec0658ea98e3f06eeecf16b4c6fff2da457ddc2f34"),
+            (64, "ffe054fe7ae0cb6dc65c3af9b61d5209f439851db43d0ba5997337df154668eb"),
+            (65, "635361c48bb9eab14198e76ea8ab7f1a41685d6ad62aa9146d301d4f17eb0ae0"),
+            (119, "31eba51c313a5c08226adf18d4a359cfdfd8d2e816b13f4af952f7ea6584dcfb"),
+            (120, "2f3d335432c70b580af0e8e1b3674a7c020d683aa5f73aaaedfdc55af904c21c"),
+            (128, "6836cf13bac400e9105071cd6af47084dfacad4e5e302c94bfed24e013afb73e"),
+        ];
+        for (len, digest) in cases {
+            assert_eq!(hex(&vec![b'a'; len]), digest, "{len} bytes of 'a'");
+        }
     }
 
     #[test]

@@ -29,18 +29,65 @@ pub struct Zipf {
 impl Zipf {
     /// Builds the sampler.
     ///
+    /// Fills the weights serially with [`Zipf::fill_terms`], then builds
+    /// the table with [`Zipf::from_terms`]; callers that fill the weights
+    /// in parallel chunks get the same table bit for bit.
+    ///
     /// # Panics
     ///
     /// Panics if `n == 0`.
     pub fn new(n: usize, s: f64) -> Self {
         assert!(n > 0, "zipf over empty support");
-        let mut cdf = Vec::with_capacity(n);
+        let mut terms = vec![0.0; n];
+        Zipf::fill_terms(&mut terms, 1, s);
+        Zipf::from_terms(terms)
+    }
+
+    /// Writes the unnormalised weight `1 / k^s` of rank `k = first_rank + i`
+    /// into `terms[i]`.
+    ///
+    /// Each weight depends on its rank alone, so disjoint slices of one
+    /// buffer can be filled in any order, on any thread, and refilling a
+    /// slice writes the same bits.
+    pub fn fill_terms(terms: &mut [f64], first_rank: usize, s: f64) {
+        for (k, term) in (first_rank..).zip(terms) {
+            *term = 1.0 / (k as f64).powf(s);
+        }
+    }
+
+    /// Builds the sampler from the weights of ranks `1..=terms.len()`, in
+    /// rank order, reusing `terms` as the CDF.
+    ///
+    /// The running sum, the normalisation and the guide table are serial
+    /// and in rank order, so the CDF bits depend only on the weights, not
+    /// on how they were filled.
+    ///
+    /// ```
+    /// use lookaside_workload::Zipf;
+    ///
+    /// let mut terms = vec![0.0; 1000];
+    /// let (head, tail) = terms.split_at_mut(300);
+    /// Zipf::fill_terms(tail, 301, 0.9);
+    /// Zipf::fill_terms(head, 1, 0.9);
+    /// let zipf = Zipf::from_terms(terms);
+    /// assert_eq!(zipf.sample(0.5), Zipf::new(1000, 0.9).sample(0.5));
+    /// ```
+    ///
+    /// # Panics
+    ///
+    /// Panics if `terms` is empty or its total weight is not positive and
+    /// finite.
+    pub fn from_terms(mut terms: Vec<f64>) -> Self {
+        let n = terms.len();
+        assert!(n > 0, "zipf over empty support");
         let mut acc = 0.0;
-        for k in 1..=n {
-            acc += 1.0 / (k as f64).powf(s);
-            cdf.push(acc);
+        for term in terms.iter_mut() {
+            acc += *term;
+            *term = acc;
         }
         let total = acc;
+        assert!(total > 0.0 && total.is_finite(), "zipf weights total {total}");
+        let mut cdf = terms;
         // A power of two, so every edge `j / G` and every `u * G` is exact.
         let buckets = (n.next_power_of_two() / 16).max(2);
         let step = 1.0 / buckets as f64;
@@ -104,8 +151,44 @@ impl Zipf {
 
     /// Samples from a hash value (uniform over `u64`).
     pub fn sample_hash(&self, h: u64) -> usize {
-        self.sample(h as f64 / u64::MAX as f64)
+        self.sample(unit(h))
     }
+
+    /// [`Zipf::sample_hash`] over a block of hashes: the same rank for
+    /// each, in the same order.
+    ///
+    /// A lone draw waits on two dependent cache misses, one into the guide
+    /// table and one into the CDF. The block issues each stage's loads for
+    /// every draw before the next stage needs them: first every draw's
+    /// guide entry, then the first CDF entry of every draw's bucket, and
+    /// only then the exact per-draw search, whose first loads then hit cache.
+    ///
+    /// ```
+    /// use lookaside_workload::Zipf;
+    ///
+    /// let zipf = Zipf::new(1000, 0.9);
+    /// let hashes = [0, 7, u64::MAX / 3, u64::MAX];
+    /// assert_eq!(zipf.sample_hashes(&hashes), hashes.map(|h| zipf.sample_hash(h)));
+    /// ```
+    // lint:entry(hot-path)
+    pub fn sample_hashes<const B: usize>(&self, hashes: &[u64; B]) -> [usize; B] {
+        let units = hashes.map(unit);
+        // Stage 1: each draw's bucket and guide entry.
+        let buckets = self.guide.len().saturating_sub(1) as f64;
+        let firsts = units.map(|u| self.guide.get((u * buckets) as usize).copied().unwrap_or(0));
+        // Stage 2: the first CDF entry of each bucket, read so the loads
+        // are issued here; the value itself is not needed.
+        let touched =
+            firsts.iter().fold(0u64, |acc, &lo| acc ^ self.cdf.get(lo).map_or(0, |p| p.to_bits()));
+        std::hint::black_box(touched);
+        // Stage 3: the exact search, draw by draw.
+        units.map(|u| self.sample(u))
+    }
+}
+
+/// A hash as a uniform draw in `[0, 1]`.
+fn unit(h: u64) -> f64 {
+    h as f64 / u64::MAX as f64
 }
 
 #[cfg(test)]
@@ -173,6 +256,49 @@ mod tests {
         }
     }
 
+    /// A table whose weights were filled `chunk` ranks at a time, last
+    /// chunk first, as the parallel prep sweep may fill them.
+    fn chunked(n: usize, s: f64, chunk: usize) -> Zipf {
+        let mut terms = vec![0.0; n];
+        let mut chunks: Vec<_> = (1..).step_by(chunk).zip(terms.chunks_mut(chunk)).collect();
+        while let Some((first_rank, slice)) = chunks.pop() {
+            Zipf::fill_terms(slice, first_rank, s);
+        }
+        Zipf::from_terms(terms)
+    }
+
+    fn assert_bit_identical(a: &Zipf, b: &Zipf) {
+        let bits = |z: &Zipf| z.cdf.iter().map(|p| p.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(a), bits(b), "cdf bits, n {}", a.n());
+        assert_eq!(a.guide, b.guide, "guide, n {}", a.n());
+    }
+
+    #[test]
+    fn chunked_fill_equals_new_bit_for_bit() {
+        // Chunks that divide n, that leave a short last chunk, of one
+        // rank, and larger than n.
+        for (n, chunk) in
+            [(4096, 1024), (4096, 1000), (1000, 1), (17, 64), (1, 8), (65_537, 1 << 16)]
+        {
+            for s in [0.5, 0.92, 1.7] {
+                assert_bit_identical(&chunked(n, s, chunk), &Zipf::new(n, s));
+            }
+        }
+    }
+
+    #[test]
+    fn fig12_model_table_filled_in_chunks_equals_new() {
+        let z = Zipf::new(2_000_000, 0.92);
+        assert_bit_identical(&chunked(2_000_000, 0.92, 1 << 16), &z);
+        assert_bit_identical(&chunked(2_000_000, 0.92, 300_001), &z);
+    }
+
+    #[test]
+    #[should_panic(expected = "zipf weights total")]
+    fn all_zero_weights_panic() {
+        Zipf::from_terms(vec![0.0; 10]);
+    }
+
     proptest! {
         #[test]
         fn sample_equals_full_binary_search(n in 1usize..5_000, s in 0.1f64..2.0, h in any::<u64>()) {
@@ -180,23 +306,55 @@ mod tests {
             assert_matches_reference(&z);
             prop_assert_eq!(z.sample_hash(h), reference(&z, h as f64 / u64::MAX as f64));
         }
+
+        #[test]
+        fn sample_hashes_equals_sample_hash(
+            n in 1usize..5_000,
+            s in 0.1f64..2.0,
+            seed in any::<u64>(),
+        ) {
+            let z = Zipf::new(n, s);
+            let hashes: [u64; 16] = std::array::from_fn(|i| {
+                (seed ^ i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15).rotate_left(29)
+            });
+            let mut edges = hashes;
+            edges[..4].copy_from_slice(&[0, 1, u64::MAX - 1, u64::MAX]);
+            for block in [hashes, edges] {
+                prop_assert_eq!(z.sample_hashes(&block), block.map(|h| z.sample_hash(h)));
+            }
+            let [a, b, c, ..] = hashes;
+            prop_assert_eq!(z.sample_hashes(&[a, b, c]), [a, b, c].map(|h| z.sample_hash(h)));
+            prop_assert_eq!(z.sample_hashes(&[]), [0usize; 0]);
+        }
     }
 
     /// The Fig. 12 model's table: a million splitmix64 draws rank exactly
-    /// as the full binary search ranks them.
+    /// as the full binary search ranks them, one by one and in blocks.
     #[test]
     fn fig12_model_draws_match_reference() {
         let z = Zipf::new(2_000_000, 0.92);
         assert!(z.cdf.windows(2).all(|w| w[0] < w[1]), "cdf not strictly increasing");
         let mut state = 0x5eed_u64;
-        for _ in 0..1_000_000 {
-            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            let mut x = state;
-            x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            let h = x ^ (x >> 31);
-            assert_eq!(z.sample_hash(h), reference(&z, h as f64 / u64::MAX as f64));
+        let hashes: Vec<u64> = (0..1_000_000)
+            .map(|_| {
+                state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+                let mut x = state;
+                x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+                x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+                x ^ (x >> 31)
+            })
+            .collect();
+        let ranks: Vec<usize> = hashes.iter().map(|&h| z.sample_hash(h)).collect();
+        for (&h, &rank) in hashes.iter().zip(&ranks) {
+            assert_eq!(rank, reference(&z, h as f64 / u64::MAX as f64));
         }
+        let (blocks, tail) = hashes.as_chunks::<16>();
+        let blocked: Vec<usize> = blocks
+            .iter()
+            .flat_map(|block| z.sample_hashes(block))
+            .chain(tail.iter().map(|&h| z.sample_hash(h)))
+            .collect();
+        assert_eq!(blocked, ranks);
     }
 
     #[test]
