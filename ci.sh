@@ -7,14 +7,16 @@ cd "$(dirname "$0")"
 cargo build --release
 mkdir -p target/ci
 
-# Tier-1 tests must pass at both worker-pool extremes: the engine's
-# contract is that LOOKASIDE_JOBS changes wall-clock time only, never
-# results. The suite includes the wire-layer proptests (compact-Name
-# codec round-trips, canonical-order reference model) and the same-run
-# oracle that classifies a capture and compares it with the per-packet
-# LeakSink fold of the same packets (tests/stream_equivalence.rs).
-LOOKASIDE_JOBS=1 cargo test -q
-LOOKASIDE_JOBS=4 cargo test -q
+# Tier-1 tests. No library crate reads the environment, so one run
+# covers every worker count the tests pick: each sweep has its own
+# `--jobs 1 == --jobs N` test (tests/engine_determinism.rs and friends),
+# and the golden, Byzantine and lifecycle gates below diff `repro` at
+# --jobs 1 and --jobs 4. The suite includes the wire-layer proptests
+# (compact-Name codec round-trips, canonical-order reference model) and
+# the same-run oracle that classifies a capture and compares it with the
+# per-packet LeakSink fold of the same packets
+# (tests/stream_equivalence.rs).
+cargo test -q
 
 # `redundant_clone` is denied on top of the default set: the PR-3 memory
 # model makes clones cheap but the hot path is supposed to not need them
@@ -188,8 +190,8 @@ cargo clippy -p lookaside-resolver -- -D warnings -D clippy::panic -D clippy::un
 
 # Static-invariant gate: the workspace lint (crates/lint) walks every .rs
 # file, runs the lexical rules (hash-ordered collections, wall-clock
-# reads, ambient entropy, env reads outside the sanctioned seed path,
-# panics on hot paths, unsafe code), then builds the workspace call graph
+# reads, ambient entropy, env reads in library crates, panics on hot
+# paths, unsafe code), then builds the workspace call graph
 # and runs the three semantic dataflow passes: panic-reachability from
 # tagged hot-path entries, determinism taint into tagged sinks, and the
 # std::{fs,io,net} purity wall. Zero unsuppressed findings and zero stale
@@ -211,12 +213,14 @@ fi
 # a scanned crate, expect the lint to fail *on the expected rule*, then
 # remove it. One canary per semantic pass (the panic one places its
 # unwrap two calls below the tagged entry, so only a transitive pass can
-# see it) plus the original lexical one. The trap guarantees cleanup even
-# if an expectation itself fails.
+# see it) plus two lexical ones: the original hash-collection canary and
+# an environment read dropped into the engine, where no file is exempt.
+# The trap guarantees cleanup even if an expectation itself fails.
 CANARIES="crates/core/src/__lint_canary.rs \
     crates/workload/src/__lint_canary_panic.rs \
     crates/wire/src/__lint_canary_taint.rs \
-    crates/netsim/src/__lint_canary_purity.rs"
+    crates/netsim/src/__lint_canary_purity.rs \
+    crates/engine/src/__lint_canary_env.rs"
 # shellcheck disable=SC2064
 trap "rm -f ${CANARIES}" EXIT
 lint_canary() {
@@ -240,6 +244,7 @@ lint_canary bad_hashmap.rs crates/core/src/__lint_canary.rs determinism::hash-co
 lint_canary sem_panic_bad.rs crates/workload/src/__lint_canary_panic.rs semantic::panic-reachable
 lint_canary sem_taint_bad.rs crates/wire/src/__lint_canary_taint.rs semantic::taint-flow
 lint_canary sem_purity_bad.rs crates/netsim/src/__lint_canary_purity.rs semantic::purity-wall
+lint_canary bad_env.rs crates/engine/src/__lint_canary_env.rs determinism::env-read
 trap - EXIT
 
 echo "ci: all green"

@@ -3,6 +3,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use lookaside::chaos::{chaos_outage, ChaosConfig, Outage, TimerProfile};
+use lookaside::engine::Executor;
 
 fn cell(outage: Outage, profile: TimerProfile) -> ChaosConfig {
     ChaosConfig {
@@ -16,16 +17,29 @@ fn cell(outage: Outage, profile: TimerProfile) -> ChaosConfig {
 
 fn bench_chaos(c: &mut Criterion) {
     c.bench_function("chaos/healthy_retry_cell", |b| {
-        b.iter(|| black_box(chaos_outage(&cell(Outage::Loss(0), TimerProfile::Retry))))
+        b.iter(|| {
+            black_box(chaos_outage(
+                &Executor::default(),
+                &cell(Outage::Loss(0), TimerProfile::Retry),
+            ))
+        })
     });
 
     c.bench_function("chaos/loss25_retry_cell", |b| {
-        b.iter(|| black_box(chaos_outage(&cell(Outage::Loss(250), TimerProfile::Retry))))
+        b.iter(|| {
+            black_box(chaos_outage(
+                &Executor::default(),
+                &cell(Outage::Loss(250), TimerProfile::Retry),
+            ))
+        })
     });
 
     c.bench_function("chaos/blackhole_sfcache_cell", |b| {
         b.iter(|| {
-            black_box(chaos_outage(&cell(Outage::Blackhole, TimerProfile::RetryServfailCache)))
+            black_box(chaos_outage(
+                &Executor::default(),
+                &cell(Outage::Blackhole, TimerProfile::RetryServfailCache),
+            ))
         })
     });
 }

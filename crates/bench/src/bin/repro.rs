@@ -12,10 +12,12 @@
 //! section, a second section, or a `--jobs` value that is not a positive
 //! integer prints the usage to stderr and exits with status 2.
 //!
-//! `--jobs N` (or the `LOOKASIDE_JOBS` environment variable) sets the
-//! worker-pool size the experiment engine shards sweeps across. The output
-//! is byte-identical for every N — parallelism only changes wall-clock
-//! time, never results.
+//! The flags are parsed once, here, into the one `engine::Executor` every
+//! sweep runs on; no library crate reads the environment. `--jobs N` sets
+//! the worker-pool size the experiment engine shards sweeps across
+//! (default: the machine's available parallelism). The output is
+//! byte-identical for every N — parallelism only changes wall-clock time,
+//! never results.
 //!
 //! Experiments fold packets into accumulators as they happen instead of
 //! capturing and classifying afterwards, holding O(shards) memory. The
@@ -23,26 +25,29 @@
 //! and `ci.sh` diffs `fig9`, `fig12` and `farm` against the golden files
 //! in `tests/golden/`.
 //!
-//! `--checkpoint P` / `--resume P` (or `LOOKASIDE_CHECKPOINT=P`) journal
-//! every completed `fig12` window shard to the CRC-checked file `P`; a
-//! run killed mid-sweep resumes from the journal's valid prefix and
-//! produces byte-identical output. `--allow-partial` (or
-//! `LOOKASIDE_ALLOW_PARTIAL=1`) accepts sweeps whose shards exhausted
+//! `--checkpoint P` / `--resume P` journal every completed `fig12` window
+//! shard to the CRC-checked file `P`; a run killed mid-sweep resumes from
+//! the journal's valid prefix and produces byte-identical output. Only
+//! `fig12` journals, so either flag with any section but `fig12` or `all`
+//! is rejected. `--allow-partial` accepts sweeps whose shards exhausted
 //! their retry budget, printing an explicit per-shard coverage table to
 //! stderr instead of aborting.
 
 use std::env;
+use std::path::Path;
 
 use lookaside::attacks;
 use lookaside::byzantine::{byzantine_sweep, ByzantineConfig};
 use lookaside::chaos::{chaos_outage, ChaosConfig};
+use lookaside::engine::Executor;
 use lookaside::experiments::{
-    deployment_sweep, fig11, fig12, fig8_9, nsec3_tradeoff, order_matters, qmin_exposure, table3,
-    table4, table5, tld_breakdown, trace_replay, utility, vantage_sweep,
+    deployment_sweep, fig11, fig8_9, nsec3_tradeoff, order_matters, qmin_exposure, table3, table4,
+    table5, tld_breakdown, trace_replay, utility, vantage_sweep,
 };
 use lookaside::farm::{Farm, FarmConfig, TopologyReport};
 use lookaside::lifecycle::{lifecycle_sweep, LifecycleConfig};
 use lookaside::report::{megabytes, pct, render_table};
+use lookaside::stream::{fig12_stream, fig12_stream_checkpointed};
 use lookaside::workload;
 use lookaside_resolver::{environments, InstallMethod};
 
@@ -65,7 +70,8 @@ struct Args {
 
 /// Parses the arguments after the program name. Flags take values as
 /// `--flag VALUE` or `--flag=VALUE`; any other flag, a name outside
-/// [`SECTIONS`], or a second section is an error.
+/// [`SECTIONS`], a second section, or a journal flag for a section that
+/// does not journal is an error.
 fn parse_args(args: &[String]) -> Result<Args, String> {
     let mut parsed = Args::default();
     let mut it = args.iter();
@@ -104,6 +110,9 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
     if parsed.what.is_empty() {
         parsed.what = "all".to_string();
     }
+    if parsed.checkpoint.is_some() && !matches!(parsed.what.as_str(), "fig12" | "all") {
+        return Err(format!("--checkpoint/--resume journal fig12 only, not `{}`", parsed.what));
+    }
     Ok(parsed)
 }
 
@@ -119,21 +128,8 @@ fn main() {
             std::process::exit(2);
         }
     };
-    if let Some(jobs) = jobs {
-        // The engine reads LOOKASIDE_JOBS when experiments construct their
-        // executor; setting it here makes --jobs authoritative for the
-        // whole process.
-        env::set_var(lookaside::engine::JOBS_ENV, jobs.to_string());
-    }
-    if allow_partial {
-        env::set_var(lookaside::engine::ALLOW_PARTIAL_ENV, "1");
-    }
-    if let Some(path) = checkpoint {
-        // --checkpoint and --resume are the same mechanism: the journal
-        // loader folds back whatever valid prefix the file holds (none,
-        // for a fresh path) and the sweep continues from there.
-        env::set_var(lookaside::engine::CHECKPOINT_ENV, path);
-    }
+    let mut exec = jobs.map_or_else(Executor::default, Executor::new);
+    exec.allow_partial = allow_partial;
 
     let sweep: Vec<usize> = if full {
         let mut sizes = lookaside_bench::SWEEP_SIZES.to_vec();
@@ -167,7 +163,7 @@ fn main() {
         print_table5_fig10(&t45);
     }
     if wants("fig8") || wants("fig9") {
-        print_fig8_9(&sweep);
+        print_fig8_9(&exec, &sweep);
     }
     if wants("order") {
         print_order();
@@ -179,7 +175,7 @@ fn main() {
         print_fig11(if full { 10_000 } else { 1_000 });
     }
     if wants("fig12") {
-        print_fig12(if full { 1 } else { 500 });
+        print_fig12(&exec, if full { 1 } else { 500 }, checkpoint.as_deref());
     }
     if wants("nsec3") {
         print_nsec3(if full { 5_000 } else { 500 });
@@ -188,10 +184,10 @@ fn main() {
         print_qmin(if full { 2_000 } else { 300 });
     }
     if wants("vantage") {
-        print_vantage(if full { 2_000 } else { 300 });
+        print_vantage(&exec, if full { 2_000 } else { 300 });
     }
     if wants("deployment") {
-        print_deployment(if full { 5_000 } else { 800 });
+        print_deployment(&exec, if full { 5_000 } else { 800 });
     }
     if wants("tlds") {
         print_tlds(if full { 5_000 } else { 800 });
@@ -209,16 +205,16 @@ fn main() {
         print_attacks();
     }
     if wants("chaos") {
-        print_chaos(if full { 120 } else { 25 });
+        print_chaos(&exec, if full { 120 } else { 25 });
     }
     if wants("byzantine") {
-        print_byzantine(if full { 60 } else { 15 });
+        print_byzantine(&exec, if full { 60 } else { 15 });
     }
     if wants("lifecycle") {
-        print_lifecycle(if full { 10 } else { 5 });
+        print_lifecycle(&exec, if full { 10 } else { 5 });
     }
     if wants("farm") {
-        print_farm(if full { 500 } else { 2_000 });
+        print_farm(&exec, if full { 500 } else { 2_000 });
     }
 }
 
@@ -338,9 +334,9 @@ fn print_table5_fig10(sizes: &[usize]) {
     println!("(paper ratios: time 18.7\u{2192}29.2%, traffic 6.7\u{2192}10.0%, queries 10.8\u{2192}19.7%)");
 }
 
-fn print_fig8_9(sizes: &[usize]) {
+fn print_fig8_9(exec: &Executor, sizes: &[usize]) {
     println!("\n== Figs. 8\u{2013}9: DLV queries and leaked proportion ==");
-    print!("{}", lookaside::report::fig8_9_table(&fig8_9(sizes, 11)));
+    print!("{}", lookaside::report::fig8_9_table(&fig8_9(exec, sizes, 11)));
     println!("(paper: 84% @100 decaying ~linearly in log N to 6.8% @1M)");
 }
 
@@ -385,9 +381,15 @@ fn print_fig11(n: usize) {
     println!("(paper: TXT highest overhead, Z-bit minimal; both eliminate leaks)");
 }
 
-fn print_fig12(scale: u64) {
+/// Fig. 12; with a `journal` (`--checkpoint`/`--resume`, the same
+/// mechanism) the window sweep folds back the journal's valid prefix —
+/// none, for a fresh path — and continues from there.
+fn print_fig12(exec: &Executor, scale: u64, journal: Option<&str>) {
     println!("\n== Fig. 12: DITL trace-driven overhead (sampling 1/{scale}) ==");
-    let data = fig12(23, scale);
+    let data = match journal {
+        Some(path) => fig12_stream_checkpointed(exec, 23, scale, Path::new(path)),
+        None => fig12_stream(exec, 23, scale),
+    };
     let minutes = data.per_minute.len();
     let sample = [0usize, minutes / 4, minutes / 2, 3 * minutes / 4, minutes - 1];
     let rows: Vec<Vec<String>> = sample
@@ -456,9 +458,9 @@ fn print_qmin(n: usize) {
     println!("(minimisation shields on-path servers; DLV leaks are untouched — the look-aside query *is* the name)");
 }
 
-fn print_vantage(n: usize) {
+fn print_vantage(exec: &Executor, n: usize) {
     println!("\n== \u{a7}7.1 vantage generality: same findings from every vantage (top-{n}) ==");
-    let rows: Vec<Vec<String>> = vantage_sweep(n, 43)
+    let rows: Vec<Vec<String>> = vantage_sweep(exec, n, 43)
         .iter()
         .map(|r| {
             vec![
@@ -476,9 +478,9 @@ fn print_vantage(n: usize) {
     println!("(paper \u{a7}7.1: \"results among different platforms remain the same\")");
 }
 
-fn print_deployment(n: usize) {
+fn print_deployment(exec: &Executor, n: usize) {
     println!("\n== \u{a7}7.1 deployment sweep: leak share vs DLV deposit density (top-{n}) ==");
-    let rows: Vec<Vec<String>> = deployment_sweep(n, &[0, 100, 300, 600, 1000], 39)
+    let rows: Vec<Vec<String>> = deployment_sweep(exec, n, &[0, 100, 300, 600, 1000], 39)
         .iter()
         .map(|r| {
             vec![
@@ -606,9 +608,9 @@ fn print_dictionary() {
     );
 }
 
-fn print_chaos(n: usize) {
+fn print_chaos(exec: &Executor, n: usize) {
     println!("\n== \u{a7}7.3.2 chaos sweep: DLV-registry outage vs leakage amplification ({n} queries/cell) ==");
-    let rows: Vec<Vec<String>> = chaos_outage(&ChaosConfig::quick(n))
+    let rows: Vec<Vec<String>> = chaos_outage(exec, &ChaosConfig::quick(n))
         .iter()
         .map(|p| {
             vec![
@@ -647,11 +649,11 @@ fn print_chaos(n: usize) {
     );
 }
 
-fn print_byzantine(n: usize) {
+fn print_byzantine(exec: &Executor, n: usize) {
     println!(
         "\n== Byzantine sweep: data-plane adversaries \u{d7} validator hardening ({n} queries/cell) =="
     );
-    let rows: Vec<Vec<String>> = byzantine_sweep(&ByzantineConfig::quick(n))
+    let rows: Vec<Vec<String>> = byzantine_sweep(exec, &ByzantineConfig::quick(n))
         .iter()
         .map(|p| {
             vec![
@@ -692,9 +694,9 @@ fn print_byzantine(n: usize) {
     );
 }
 
-fn print_lifecycle(n: usize) {
+fn print_lifecycle(exec: &Executor, n: usize) {
     println!("\n== key-lifecycle sweep: rollovers, expiry storms, RFC 5011 ({n} queries/event) ==");
-    let rows: Vec<Vec<String>> = lifecycle_sweep(&LifecycleConfig::quick(n))
+    let rows: Vec<Vec<String>> = lifecycle_sweep(exec, &LifecycleConfig::quick(n))
         .iter()
         .flat_map(|p| {
             p.events.iter().map(|e| {
@@ -800,8 +802,7 @@ const FARM_HEADERS: [&str; 14] = [
     "content-exp",
 ];
 
-fn print_farm(ditl_scale: u64) {
-    let exec = lookaside::executor();
+fn print_farm(exec: &Executor, ditl_scale: u64) {
     let farm = Farm::new(FarmConfig::paper_scale());
     let clients = farm.config().plane.clients;
     let resolvers = farm.config().resolvers;
@@ -809,7 +810,7 @@ fn print_farm(ditl_scale: u64) {
     println!(
         "\n== resolver farm: {clients} stub clients, {resolvers} resolvers, topology sweep =="
     );
-    print!("{}", render_table(&FARM_HEADERS, &farm_rows(&farm.sweep(&exec))));
+    print!("{}", render_table(&FARM_HEADERS, &farm_rows(&farm.sweep(exec))));
     println!(
         "(aggregation is the accidental remedy: a shared cache dedupes case-2 names across the \
          whole client base, an ODoH split leaves the registry's view intact but unlinkable, and \
@@ -817,7 +818,7 @@ fn print_farm(ditl_scale: u64) {
     );
 
     println!("\n== farm scaling: per-resolver caches, per-client leak rate vs farm size ==");
-    let curve = farm.scaling(&[1, 2, 4, 8, 16, 32], &exec);
+    let curve = farm.scaling(&[1, 2, 4, 8, 16, 32], exec);
     print!("{}", render_table(&FARM_HEADERS, &farm_rows(&curve)));
     println!(
         "(fragmenting the client base across more caches multiplies what the registry sees: \
@@ -825,7 +826,7 @@ fn print_farm(ditl_scale: u64) {
     );
 
     println!("\n== DITL-scale trace through the farm (1/{ditl_scale} sample) ==");
-    print!("{}", render_table(&FARM_HEADERS, &farm_rows(&farm.ditl(ditl_scale, &exec))));
+    print!("{}", render_table(&FARM_HEADERS, &farm_rows(&farm.ditl(ditl_scale, exec))));
     println!(
         "(the Fig. 12 day-in-the-life volume replayed against the farm instead of one resolver: \
          per-client attribution survives any partition of the trace)"
@@ -877,6 +878,9 @@ mod tests {
             "--checkpoint",
             "--full=1",
             "fig9 fig12",
+            "fig9 --checkpoint j.ckpt",
+            "--resume j.ckpt farm",
+            "table1 --checkpoint=j.ckpt",
         ] {
             assert!(parse(line).is_err(), "`{line}` must be rejected");
         }

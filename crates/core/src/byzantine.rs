@@ -25,6 +25,7 @@
 //! Everything is a pure function of the configured seed; the sweep runs on
 //! the sharded executor and is byte-identical for every `--jobs` value.
 
+use lookaside_engine::Executor;
 use lookaside_netsim::{CaptureFilter, Direction, LinkFaults};
 use lookaside_resolver::{
     BindConfig, FeatureModel, Hardening, Lookaside, ResolverConfig, RetryPolicy, SecurityStatus,
@@ -194,20 +195,13 @@ pub struct ByzantinePoint {
     pub timeouts: u64,
 }
 
-/// Runs the full sweep on the session executor (`--jobs` /
-/// `LOOKASIDE_JOBS`): every adversary crossed with every hardening
-/// profile, in profile-major order.
-pub fn byzantine_sweep(config: &ByzantineConfig) -> Vec<ByzantinePoint> {
-    byzantine_sweep_with(&crate::parallel::executor(), config)
-}
-
-/// [`byzantine_sweep`] on an explicit executor. Each cell builds a fresh
+/// Runs the full sweep on `exec`: every adversary crossed with every
+/// hardening profile, in profile-major order. Each cell builds a fresh
 /// Internet replica, so cells are natural shards; the point list comes
-/// back in serial order, identical for every worker count.
-pub fn byzantine_sweep_with(
-    exec: &lookaside_engine::Executor,
-    config: &ByzantineConfig,
-) -> Vec<ByzantinePoint> {
+/// back in serial order, identical for every worker count. A failed cell
+/// is retried within the executor's budget and, if it still fails,
+/// aborts the sweep unless `--allow-partial` accepts the gap.
+pub fn byzantine_sweep(exec: &Executor, config: &ByzantineConfig) -> Vec<ByzantinePoint> {
     let mut cells = Vec::with_capacity(config.adversaries.len() * config.profiles.len());
     for &profile in &config.profiles {
         for &adversary in &config.adversaries {
@@ -215,9 +209,7 @@ pub fn byzantine_sweep_with(
         }
     }
     let shards = lookaside_engine::ShardPlan::new(config.seed).over(cells);
-    lookaside_engine::expect_all(
-        exec.run(&shards, |shard| run_cell(config, shard.input.0, shard.input.1)),
-    )
+    crate::parallel::collect(exec, &shards, |shard| run_cell(config, shard.input.0, shard.input.1))
 }
 
 /// The measured workload: mostly sequential ranks (fresh names, as in the
@@ -368,8 +360,8 @@ mod tests {
             profiles: vec![HardeningProfile::Full],
             ..small()
         };
-        let a = byzantine_sweep(&config);
-        let b = byzantine_sweep(&config);
+        let a = byzantine_sweep(&Executor::default(), &config);
+        let b = byzantine_sweep(&Executor::default(), &config);
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.dlv_packets, y.dlv_packets);
             assert_eq!(x.answered, y.answered);
@@ -379,7 +371,7 @@ mod tests {
 
     #[test]
     fn hardening_survives_decommission_at_no_dlv_availability() {
-        let points = byzantine_sweep(&small());
+        let points = byzantine_sweep(&Executor::default(), &small());
         let no_dlv = cell(&points, Adversary::NoDlv, HardeningProfile::Off);
         assert!(no_dlv.availability > 0.9, "control cell must resolve: {no_dlv:?}");
         // Graceful degradation: every decommission stage under full
@@ -404,14 +396,17 @@ mod tests {
 
     #[test]
     fn forged_and_bogus_data_is_never_secure() {
-        let points = byzantine_sweep(&ByzantineConfig {
-            adversaries: vec![
-                Adversary::Baseline,
-                Adversary::Spoof(1000),
-                Adversary::Decommission(DecommissionStage::BogusSignatures),
-            ],
-            ..small()
-        });
+        let points = byzantine_sweep(
+            &Executor::default(),
+            &ByzantineConfig {
+                adversaries: vec![
+                    Adversary::Baseline,
+                    Adversary::Spoof(1000),
+                    Adversary::Decommission(DecommissionStage::BogusSignatures),
+                ],
+                ..small()
+            },
+        );
         let baseline = cell(&points, Adversary::Baseline, HardeningProfile::Off);
         assert!(baseline.dlv_secure > 0, "deposited islands must secure via DLV: {baseline:?}");
         // Accepted forgeries carry no valid signatures: an unhardened
@@ -437,10 +432,10 @@ mod tests {
 
     #[test]
     fn qid_and_source_checks_discard_forgeries() {
-        let points = byzantine_sweep(&ByzantineConfig {
-            adversaries: vec![Adversary::Spoof(1000)],
-            ..small()
-        });
+        let points = byzantine_sweep(
+            &Executor::default(),
+            &ByzantineConfig { adversaries: vec![Adversary::Spoof(1000)], ..small() },
+        );
         let off = cell(&points, Adversary::Spoof(1000), HardeningProfile::Off);
         let full = cell(&points, Adversary::Spoof(1000), HardeningProfile::Full);
         assert!(off.spoofs_accepted > 0, "unhardened resolver accepts forgeries: {off:?}");
@@ -450,11 +445,14 @@ mod tests {
 
     #[test]
     fn corruption_triggers_retries_and_amplifies_leakage() {
-        let points = byzantine_sweep(&ByzantineConfig {
-            adversaries: vec![Adversary::Baseline, Adversary::Corrupt(500)],
-            profiles: vec![HardeningProfile::Off],
-            ..small()
-        });
+        let points = byzantine_sweep(
+            &Executor::default(),
+            &ByzantineConfig {
+                adversaries: vec![Adversary::Baseline, Adversary::Corrupt(500)],
+                profiles: vec![HardeningProfile::Off],
+                ..small()
+            },
+        );
         let baseline = cell(&points, Adversary::Baseline, HardeningProfile::Off);
         let corrupt = cell(&points, Adversary::Corrupt(500), HardeningProfile::Off);
         assert!(corrupt.malformed_retries > 0, "corruption must be detected: {corrupt:?}");
@@ -468,11 +466,14 @@ mod tests {
 
     #[test]
     fn truncation_forces_tcp_fallback_without_losing_answers() {
-        let points = byzantine_sweep(&ByzantineConfig {
-            adversaries: vec![Adversary::Truncate(1000)],
-            profiles: vec![HardeningProfile::Off],
-            ..small()
-        });
+        let points = byzantine_sweep(
+            &Executor::default(),
+            &ByzantineConfig {
+                adversaries: vec![Adversary::Truncate(1000)],
+                profiles: vec![HardeningProfile::Off],
+                ..small()
+            },
+        );
         let p = cell(&points, Adversary::Truncate(1000), HardeningProfile::Off);
         assert!(p.forced_truncations > 0, "truncation fault must fire: {p:?}");
         assert!(p.availability > 0.9, "TCP fallback keeps answers flowing: {p:?}");

@@ -29,6 +29,7 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
+use lookaside_engine::Executor;
 use lookaside_netsim::{CaptureFilter, DlvQueryCounter, LinkFaults};
 use lookaside_resolver::{BindConfig, FeatureModel, ResolverConfig, RetryPolicy};
 use lookaside_wire::ext::RemedyMode;
@@ -177,27 +178,18 @@ pub struct ChaosPoint {
     pub servfail_entries: (usize, usize),
 }
 
-/// Runs the full sweep on the session executor (`--jobs` /
-/// `LOOKASIDE_JOBS`): every fault level crossed with every timer profile,
-/// in profile-major order.
-pub fn chaos_outage(config: &ChaosConfig) -> Vec<ChaosPoint> {
-    chaos_outage_with(&crate::parallel::executor(), config)
-}
-
-/// [`chaos_outage`] on an explicit executor. Every grid cell builds a
-/// fresh Internet replica, so cells are natural shards: the point list
-/// comes back in profile-major order, identical for every worker count.
-/// Each cell runs capture-less, with a [`DlvQueryCounter`] sink counting
-/// leaked packets as they happen.
+/// Runs the full sweep on `exec`: every fault level crossed with every
+/// timer profile. Every grid cell builds a fresh Internet replica, so
+/// cells are natural shards: the point list comes back in profile-major
+/// order, identical for every worker count. Each cell runs capture-less,
+/// with a [`DlvQueryCounter`] sink counting leaked packets as they
+/// happen.
 ///
-/// Cells run under the session supervisor: a failed cell is retried
-/// within the bounded budget, and with `--allow-partial` a still-failing
-/// cell is dropped from the grid (printed in the coverage table, never
-/// silently) instead of aborting the sweep.
-pub fn chaos_outage_with(
-    exec: &lookaside_engine::Executor,
-    config: &ChaosConfig,
-) -> Vec<ChaosPoint> {
+/// A failed cell is retried within the executor's budget, and with
+/// `--allow-partial` a still-failing cell is dropped from the grid
+/// (printed in the coverage table, never silently) instead of aborting
+/// the sweep.
+pub fn chaos_outage(exec: &Executor, config: &ChaosConfig) -> Vec<ChaosPoint> {
     let mut cells = Vec::with_capacity(config.outages.len() * config.profiles.len());
     for &profile in &config.profiles {
         for &outage in &config.outages {
@@ -205,17 +197,7 @@ pub fn chaos_outage_with(
         }
     }
     let shards = lookaside_engine::ShardPlan::new(config.seed).over(cells);
-    let sup = crate::parallel::supervisor();
-    crate::parallel::accept(exec.run_fold_supervised(
-        &shards,
-        |shard| run_cell(config, shard.input.0, shard.input.1),
-        Vec::with_capacity(shards.len()),
-        |mut acc, _cell, point| {
-            acc.push(point);
-            acc
-        },
-        &sup,
-    ))
+    crate::parallel::collect(exec, &shards, |shard| run_cell(config, shard.input.0, shard.input.1))
 }
 
 fn run_cell(config: &ChaosConfig, outage: Outage, profile: TimerProfile) -> ChaosPoint {
@@ -309,8 +291,8 @@ mod tests {
             profiles: vec![TimerProfile::Retry],
             ..ChaosConfig::quick(12)
         };
-        let a = chaos_outage(&config);
-        let b = chaos_outage(&config);
+        let a = chaos_outage(&Executor::default(), &config);
+        let b = chaos_outage(&Executor::default(), &config);
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.dlv_packets, y.dlv_packets);
             assert_eq!(x.retransmissions, y.retransmissions);
@@ -320,7 +302,7 @@ mod tests {
 
     #[test]
     fn retries_amplify_leakage_monotonically() {
-        let points = chaos_outage(&ChaosConfig::quick(25));
+        let points = chaos_outage(&Executor::default(), &ChaosConfig::quick(25));
         let retry = by(&points, TimerProfile::Retry);
         let baseline = retry[0].dlv_per_query;
         assert!(baseline > 0.0, "healthy run must still leak look-aside queries");
@@ -362,7 +344,7 @@ mod tests {
 
     #[test]
     fn servfail_cache_collapses_amplification() {
-        let points = chaos_outage(&ChaosConfig::quick(25));
+        let points = chaos_outage(&Executor::default(), &ChaosConfig::quick(25));
         let retry = by(&points, TimerProfile::Retry);
         let cached = by(&points, TimerProfile::RetryServfailCache);
         let baseline = retry[0].dlv_per_query;
@@ -382,11 +364,14 @@ mod tests {
 
     #[test]
     fn latency_degrades_under_outage() {
-        let points = chaos_outage(&ChaosConfig {
-            outages: vec![Outage::Loss(0), Outage::Blackhole],
-            profiles: vec![TimerProfile::Retry],
-            ..ChaosConfig::quick(15)
-        });
+        let points = chaos_outage(
+            &Executor::default(),
+            &ChaosConfig {
+                outages: vec![Outage::Loss(0), Outage::Blackhole],
+                profiles: vec![TimerProfile::Retry],
+                ..ChaosConfig::quick(15)
+            },
+        );
         assert!(points[1].p95_ms > points[0].p95_ms * 5.0, "{points:?}");
         assert!(points[1].timeouts > 0);
         // Registry outages must not take resolution down with them (§7.3.2):

@@ -7,9 +7,11 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use lookaside_engine::{expect_all, Executor, ShardPlan};
+use lookaside_engine::{Executor, ShardPlan};
 use lookaside_netsim::{CaptureFilter, TrafficStats};
-use lookaside_resolver::{BindConfig, Counters, InstallMethod, ResolverConfig};
+use lookaside_resolver::{
+    BindConfig, Counters, InstallMethod, Resolution, ResolveError, ResolverConfig, SecurityStatus,
+};
 use lookaside_wire::ext::RemedyMode;
 use lookaside_wire::{Name, RrType};
 use lookaside_workload::{PopulationParams, Zipf};
@@ -197,7 +199,7 @@ pub fn run(config: &RunConfig) -> RunOutcome {
     let mut statuses = StatusTally::default();
     for name in &names {
         let result = resolver.resolve(&mut internet.net, name, RrType::A);
-        crate::parallel::tally(&mut statuses, &result);
+        tally(&mut statuses, &result);
     }
     let leakage = sink.borrow().report.clone();
     RunOutcome {
@@ -207,6 +209,24 @@ pub fn run(config: &RunConfig) -> RunOutcome {
         statuses,
         elapsed_ns: internet.net.now_ns(),
         queried: names.len(),
+    }
+}
+
+/// Records one resolution's validation status into a tally.
+pub(crate) fn tally(statuses: &mut StatusTally, result: &Result<Resolution, ResolveError>) {
+    match result {
+        Ok(res) => match res.status {
+            SecurityStatus::Secure => {
+                statuses.secure += 1;
+                if res.secured_via_dlv {
+                    statuses.secure_via_dlv += 1;
+                }
+            }
+            SecurityStatus::Insecure => statuses.insecure += 1,
+            SecurityStatus::Bogus => statuses.bogus += 1,
+            SecurityStatus::Indeterminate => statuses.indeterminate += 1,
+        },
+        Err(_) => statuses.errors += 1,
     }
 }
 
@@ -406,43 +426,26 @@ pub struct LeakPoint {
     pub suppressed: u64,
 }
 
-/// Runs the Fig. 8 / Fig. 9 sweep on the session executor (`--jobs` /
-/// `LOOKASIDE_JOBS`).
-pub fn fig8_9(sizes: &[usize], seed: u64) -> Vec<LeakPoint> {
-    fig8_9_with(&crate::parallel::executor(), sizes, seed)
-}
-
-/// [`fig8_9`] on an explicit executor. Each dataset size is one shard — a
-/// full cold-cache run — so the reduced point list is identical for every
-/// worker count. Shards run under the session supervisor: a failed size
-/// is retried within the bounded budget, and with `--allow-partial` a
-/// still-failing size is dropped from the point list (its absence is
-/// printed, never silent).
-pub fn fig8_9_with(exec: &Executor, sizes: &[usize], seed: u64) -> Vec<LeakPoint> {
+/// Runs the Fig. 8 / Fig. 9 sweep on `exec`. Each dataset size is one
+/// shard — a full cold-cache run — so the reduced point list is
+/// identical for every worker count. A failed size is retried within the
+/// executor's budget, and with `--allow-partial` a still-failing size is
+/// dropped from the point list (its absence is printed, never silent).
+pub fn fig8_9(exec: &Executor, sizes: &[usize], seed: u64) -> Vec<LeakPoint> {
     let shards = ShardPlan::new(seed).over(sizes.iter().copied());
-    let sup = crate::parallel::supervisor();
-    crate::parallel::accept(exec.run_fold_supervised(
-        &shards,
-        |shard| {
-            let n = shard.input;
-            let mut config = RunConfig::for_top(n, RemedyMode::None);
-            config.seed = seed;
-            let outcome = run(&config);
-            LeakPoint {
-                n,
-                dlv_queries: outcome.leakage.dlv_queries,
-                leaked_domains: count_leaked_ranked(&outcome),
-                proportion: count_leaked_ranked(&outcome) as f64 / n as f64,
-                suppressed: outcome.counters.dlv_suppressed_by_nsec,
-            }
-        },
-        Vec::with_capacity(sizes.len()),
-        |mut acc, _shard, point| {
-            acc.push(point);
-            acc
-        },
-        &sup,
-    ))
+    crate::parallel::collect(exec, &shards, |shard| {
+        let n = shard.input;
+        let mut config = RunConfig::for_top(n, RemedyMode::None);
+        config.seed = seed;
+        let outcome = run(&config);
+        LeakPoint {
+            n,
+            dlv_queries: outcome.leakage.dlv_queries,
+            leaked_domains: count_leaked_ranked(&outcome),
+            proportion: count_leaked_ranked(&outcome) as f64 / n as f64,
+            suppressed: outcome.counters.dlv_suppressed_by_nsec,
+        }
+    })
 }
 
 /// Distinct leaked *ranked domains* (TLD-level strip leaks and hoster-zone
@@ -607,16 +610,12 @@ pub struct VantageRow {
 /// found "results among different platforms remain the same". Runs the same
 /// workload from each vantage (only the latency profile differs) and
 /// returns the leakage per vantage — identical by construction of the
-/// mechanism, which is the point being verified.
-pub fn vantage_sweep(n: usize, seed: u64) -> Vec<VantageRow> {
-    vantage_sweep_with(&crate::parallel::executor(), n, seed)
-}
-
-/// [`vantage_sweep`] on an explicit executor: one shard per vantage, each
-/// building its own Internet replica with that vantage's latency profile.
-pub fn vantage_sweep_with(exec: &Executor, n: usize, seed: u64) -> Vec<VantageRow> {
+/// mechanism, which is the point being verified. One shard per vantage on
+/// `exec`, each building its own Internet replica with that vantage's
+/// latency profile.
+pub fn vantage_sweep(exec: &Executor, n: usize, seed: u64) -> Vec<VantageRow> {
     let shards = ShardPlan::new(seed).over(crate::internet::VantagePoint::ALL);
-    expect_all(exec.run(&shards, |shard| {
+    crate::parallel::collect(exec, &shards, |shard| {
         let vantage = shard.input;
         let population = PopulationParams { size: n.max(1000), ..PopulationParams::default() };
         let mut params = InternetParams::for_top(n, population, RemedyMode::None);
@@ -636,7 +635,7 @@ pub fn vantage_sweep_with(exec: &Executor, n: usize, seed: u64) -> Vec<VantageRo
             distinct_leaked: leakage.distinct_leaked(),
             seconds: internet.net.stats().total_seconds(),
         }
-    }))
+    })
 }
 
 /// One side of the §7.3 NSEC-vs-NSEC3 trade-off.
@@ -762,20 +761,16 @@ pub struct DeploymentPoint {
 
 /// §7.1 "Impact of DLV Increased Deployment": the paper argues the findings
 /// become less significant as more domains are populated in the registry.
-/// Sweeps the deposit density and measures the leak fraction.
-pub fn deployment_sweep(n: usize, densities_milli: &[u16], seed: u64) -> Vec<DeploymentPoint> {
-    deployment_sweep_with(&crate::parallel::executor(), n, densities_milli, seed)
-}
-
-/// [`deployment_sweep`] on an explicit executor: one shard per density.
-pub fn deployment_sweep_with(
+/// Sweeps the deposit density and measures the leak fraction, one shard
+/// per density on `exec`.
+pub fn deployment_sweep(
     exec: &Executor,
     n: usize,
     densities_milli: &[u16],
     seed: u64,
 ) -> Vec<DeploymentPoint> {
     let shards = ShardPlan::new(seed).over(densities_milli.iter().copied());
-    expect_all(exec.run(&shards, |shard| {
+    crate::parallel::collect(exec, &shards, |shard| {
         let density = shard.input;
         let mut config = RunConfig::for_top(n, RemedyMode::None);
         config.seed = seed;
@@ -787,7 +782,7 @@ pub fn deployment_sweep_with(
             case2: outcome.leakage.case2,
             leak_fraction: outcome.leakage.leak_fraction(),
         }
-    }))
+    })
 }
 
 /// Results of replaying a repeat-heavy query trace through the *real*
@@ -810,8 +805,9 @@ pub struct TraceReplayRow {
 
 /// Replays `draws` Zipf-distributed stub queries over the top-`support`
 /// domains through the full resolver, with and without the TXT remedy.
-/// Validates the cache assumptions behind [`fig12`]: upstream traffic and
-/// TXT probes are driven by *distinct* domains, not query volume.
+/// Validates the cache assumptions behind [`crate::stream::fig12_stream`]:
+/// upstream traffic and TXT probes are driven by *distinct* domains, not
+/// query volume.
 pub fn trace_replay(draws: usize, support: usize, seed: u64) -> Vec<TraceReplayRow> {
     [RemedyMode::None, RemedyMode::TxtSignal]
         .iter()
@@ -866,13 +862,6 @@ pub struct Fig12Data {
     pub cumulative_overhead_bytes: Vec<u64>,
     /// Mean added bandwidth, Mbit/s.
     pub overhead_mbps: f64,
-}
-
-/// Builds Fig. 12 from a generated DITL trace on the session executor;
-/// see [`crate::stream::fig12_stream`]. `scale` divides the trace volume
-/// for cheap test runs; use 1 for the full figure.
-pub fn fig12(seed: u64, scale: u64) -> Fig12Data {
-    crate::stream::fig12_stream(&crate::parallel::executor(), seed, scale)
 }
 
 #[cfg(test)]
@@ -938,7 +927,7 @@ mod tests {
 
     #[test]
     fn fig8_9_proportion_decays() {
-        let points = fig8_9(&[50, 400], 11);
+        let points = fig8_9(&Executor::default(), &[50, 400], 11);
         assert!(points[0].proportion > points[1].proportion, "{points:?}");
         assert!(points[1].dlv_queries > points[0].dlv_queries);
     }
@@ -967,7 +956,7 @@ mod tests {
 
     #[test]
     fn fig12_shapes_hold() {
-        let data = fig12(23, 2000);
+        let data = crate::stream::fig12_stream(&Executor::default(), 23, 2000);
         assert_eq!(data.per_minute.len(), lookaside_workload::DITL_MINUTES);
         assert_eq!(
             *data.cumulative_queries.last().unwrap(),
@@ -1000,7 +989,7 @@ mod tests {
 
     #[test]
     fn deployment_sweep_improves_utility() {
-        let points = deployment_sweep(150, &[0, 300, 1000], 39);
+        let points = deployment_sweep(&Executor::default(), 150, &[0, 300, 1000], 39);
         assert_eq!(points[0].case1, 0, "no deposits, no utility");
         assert!(points[2].case1 > points[1].case1);
         assert!(
@@ -1047,7 +1036,7 @@ mod tests {
 
     #[test]
     fn leakage_is_vantage_independent() {
-        let rows = vantage_sweep(60, 43);
+        let rows = vantage_sweep(&Executor::default(), 60, 43);
         assert_eq!(rows.len(), 3);
         // §7.1: identical findings across vantage points…
         assert!(rows.windows(2).all(|w| w[0].leaks == w[1].leaks));

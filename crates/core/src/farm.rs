@@ -46,13 +46,11 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use lookaside_engine::Executor;
+use lookaside_engine::{Executor, Shard, ShardPlan};
 use lookaside_population::{PlaneParams, StubPlane};
 use lookaside_server::DLV_SPAN_TTL;
 use lookaside_workload::{DitlTrace, DomainPopulation, PopulationParams, Zipf, DITL_MINUTES};
 use serde::Serialize;
-
-use crate::parallel::fold_cohorts;
 
 fn mix(a: u64, b: u64) -> u64 {
     let mut x = a ^ b.wrapping_mul(0x9e37_79b9_7f4a_7c15);
@@ -346,18 +344,21 @@ impl Farm {
         }
     }
 
-    /// Merges per-cohort tallies on `exec`: [`fold_cohorts`] absorbs each
-    /// tally as its cohort completes, keeping one live tally per worker.
-    /// The reduction is a set union plus a min-merge, so any worker count
-    /// produces the same bytes.
+    /// Merges per-cohort tallies on `exec`: one shard per cohort index
+    /// `0..cohorts` (`work` resolves membership through the stable
+    /// client hash), each tally absorbed as its cohort completes, keeping
+    /// one live tally per worker. The reduction is a set union plus a
+    /// min-merge, so any worker count produces the same bytes.
     fn merged_tallies<F>(&self, cohorts: usize, exec: &Executor, work: F) -> CohortTally
     where
-        F: Fn(&lookaside_engine::Shard<usize>) -> CohortTally + Sync,
+        F: Fn(&Shard<usize>) -> CohortTally + Sync,
     {
-        fold_cohorts(self.config.seed, cohorts, exec, work, CohortTally::default(), |mut acc, t| {
+        let plan = ShardPlan::new(self.config.seed).over(0..cohorts);
+        let outcome = exec.sweep(&plan, work, CohortTally::default(), |mut acc, _cohort, t| {
             acc.absorb(t);
             acc
-        })
+        });
+        crate::parallel::accept(exec, outcome)
     }
 
     /// Runs one topology at `resolvers` instances, sharded by client

@@ -17,10 +17,11 @@
 //!   retransmission, with and without SERVFAIL caching,
 //! * [`attacks`] — §6.2.3 signaling attacks and the §6.2.4 dictionary
 //!   attack on hashed DLV,
-//! * [`parallel`] — the deterministic sharded execution glue: per-shard
-//!   [`parallel::Worker`]s owning private Internet replicas, driven by the
-//!   `lookaside-engine` thread pool (`--jobs` / `LOOKASIDE_JOBS`), with
-//!   reduction in shard-id order so any worker count is byte-identical,
+//! * [`parallel`] — the deterministic sharded execution glue: every
+//!   experiment is one `lookaside-engine` sweep whose shards own private
+//!   Internet replicas, on the [`engine::Executor`] the caller passes
+//!   (`--jobs`), with reduction in shard-id order so any worker count is
+//!   byte-identical,
 //! * [`farm`] — the million-stub client plane in front of a resolver
 //!   farm: topology-aware (per-resolver / shared-cache / ODoH /
 //!   Resolver-Less), cache-hit-aware, per-client case-2 leak accounting
@@ -60,7 +61,7 @@ pub use client::Client;
 pub use farm::{Farm, FarmConfig, FarmTopology, TopologyReport};
 pub use internet::{Internet, InternetParams, VantagePoint};
 pub use leakage::{classify, LeakageReport};
-pub use parallel::{accept, executor, fold_cohorts, run_sharded, supervisor, Worker};
+pub use parallel::accept;
 pub use stream::{fig12_stream, fig12_stream_checkpointed, run_stream, LeakSink};
 
 pub use lookaside_population as population;

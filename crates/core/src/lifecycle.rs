@@ -44,6 +44,7 @@
 //! across the engine executor and the report is byte-identical for every
 //! `--jobs` value.
 
+use lookaside_engine::Executor;
 use lookaside_netsim::CaptureFilter;
 use lookaside_resolver::{BindConfig, FeatureModel, ResolverConfig, RetryPolicy, SecurityStatus};
 use lookaside_server::DecommissionStage;
@@ -264,20 +265,14 @@ pub struct LifecyclePoint {
     pub events: Vec<LifecycleEventPoint>,
 }
 
-/// Runs the sweep on the session executor (`--jobs` / `LOOKASIDE_JOBS`).
-pub fn lifecycle_sweep(config: &LifecycleConfig) -> Vec<LifecyclePoint> {
-    lifecycle_sweep_with(&crate::parallel::executor(), config)
-}
-
-/// [`lifecycle_sweep`] on an explicit executor. Each scenario builds a
-/// fresh Internet replica, so scenarios are natural shards; results come
-/// back in serial order, identical for every worker count.
-pub fn lifecycle_sweep_with(
-    exec: &lookaside_engine::Executor,
-    config: &LifecycleConfig,
-) -> Vec<LifecyclePoint> {
+/// Runs the sweep on `exec`. Each scenario builds a fresh Internet
+/// replica, so scenarios are natural shards; results come back in serial
+/// order, identical for every worker count. A failed scenario is retried
+/// within the executor's budget and, if it still fails, aborts the sweep
+/// unless `--allow-partial` accepts the gap.
+pub fn lifecycle_sweep(exec: &Executor, config: &LifecycleConfig) -> Vec<LifecyclePoint> {
     let shards = lookaside_engine::ShardPlan::new(config.seed).over(config.scenarios.clone());
-    lookaside_engine::expect_all(exec.run(&shards, |shard| run_cell(config, shard.input)))
+    crate::parallel::collect(exec, &shards, |shard| run_cell(config, shard.input))
 }
 
 /// The measured workload: the first `needed` *anchored* ranks — signed
@@ -398,7 +393,10 @@ mod tests {
     use super::*;
 
     fn sweep(scenarios: Vec<LifecycleScenario>) -> Vec<LifecyclePoint> {
-        lifecycle_sweep(&LifecycleConfig { scenarios, ..LifecycleConfig::quick(4) })
+        lifecycle_sweep(
+            &Executor::default(),
+            &LifecycleConfig { scenarios, ..LifecycleConfig::quick(4) },
+        )
     }
 
     fn point(points: &[LifecyclePoint], scenario: LifecycleScenario) -> &LifecyclePoint {
@@ -508,7 +506,7 @@ mod tests {
             target: LifecycleTarget::Tld("com".to_string()),
             ..LifecycleConfig::quick(6)
         };
-        let points = lifecycle_sweep(&config);
+        let points = lifecycle_sweep(&Executor::default(), &config);
         let events = &point(&points, LifecycleScenario::ExpiryStorm).events;
         // In the stale gap only the .com share of the anchored workload
         // fails closed — the fault's blast radius is one TLD, not the

@@ -97,14 +97,15 @@ struct Fig12Acc {
     overhead: Vec<u64>,
 }
 
-/// [`crate::experiments::fig12`] on an explicit executor.
+/// Builds Fig. 12 from a generated DITL trace on `exec`. `scale` divides
+/// the trace volume for cheap test runs; use 1 for the full figure.
 ///
 /// Per-query byte costs are *measured* from two calibration runs of the
 /// full simulator (baseline and TXT remedy, one shard each); the trace is
 /// then aggregated analytically (92.7M queries are not resolved one by
 /// one — the paper's own Fig. 12 likewise replays aggregate volumes).
 ///
-/// Set-up is one supervised prep sweep. The two calibration shards come
+/// Set-up is one prep sweep. The two calibration shards come
 /// first, then the weights of the Zipf(2M, 0.92) cache model in 64k-rank
 /// chunks, each shard writing its chunk in place into one pre-sized
 /// buffer ([`Zipf::fill_terms`]). The running sum, normalisation and
@@ -118,19 +119,12 @@ struct Fig12Acc {
 /// shard seed) and its own `seen` bitset; all windows borrow the one
 /// table. A window draws in blocks of 16 through [`Zipf::sample_hashes`]
 /// (the tail of each minute one by one) and probes `seen` in draw order.
-/// [`Executor::run_fold_supervised`] folds each window's minute triples
-/// into the cumulative prefix sums in shard order as windows complete —
-/// the same bytes at any worker count, holding one window's triples at a
-/// time.
-///
-/// With `LOOKASIDE_CHECKPOINT` set (the `repro --checkpoint` /
-/// `--resume` flags) the window sweep journals through
-/// [`fig12_stream_checkpointed`] instead.
+/// [`Executor::sweep`] folds each window's minute triples into the
+/// cumulative prefix sums in shard order as windows complete — the same
+/// bytes at any worker count, holding one window's triples at a time.
+/// [`fig12_stream_checkpointed`] journals the window sweep instead.
 pub fn fig12_stream(exec: &Executor, seed: u64, scale: u64) -> Fig12Data {
-    match lookaside_engine::checkpoint_path() {
-        Some(path) => fig12_stream_checkpointed(exec, seed, scale, Path::new(&path)),
-        None => fig12_stream_inner(exec, seed, scale, None),
-    }
+    fig12_stream_inner(exec, seed, scale, None)
 }
 
 /// [`fig12_stream`] journalling every completed window shard to
@@ -138,7 +132,8 @@ pub fn fig12_stream(exec: &Executor, seed: u64, scale: u64) -> Fig12Data {
 /// fingerprint of `(seed, scale, window count)`. A run killed mid-sweep
 /// resumes from the journal's valid prefix — already-journalled windows
 /// fold back without re-running — and produces byte-identical output; a
-/// journal written under different parameters is refused.
+/// journal written under different parameters is refused. `repro
+/// --checkpoint P` / `--resume P` call it.
 pub fn fig12_stream_checkpointed(
     exec: &Executor,
     seed: u64,
@@ -163,8 +158,8 @@ enum Prep<'a> {
     /// A calibration run of the full simulator under this remedy.
     Calibrate(RemedyMode),
     /// Fill the Zipf weights of ranks `first_rank..` into this slice of
-    /// the shared table. A duplicate dispatch waits for the lock and
-    /// writes the same values again.
+    /// the shared table. A retry after a failed attempt rewrites the
+    /// whole chunk.
     Terms { first_rank: usize, terms: Mutex<&'a mut [f64]> },
 }
 
@@ -204,7 +199,6 @@ fn fig12_stream_inner(exec: &Executor, seed: u64, scale: u64, journal: Option<&P
     // calls settled at a peak RSS 16 MiB higher.
     let mut terms = vec![0.0; MODEL_RANKS];
     let trace = DitlTrace::generate(seed);
-    let sup = crate::parallel::supervisor();
 
     // The calibrations and the weight chunks share one sweep, so neither
     // leaves a worker idle while the other runs.
@@ -214,7 +208,7 @@ fn fig12_stream_inner(exec: &Executor, seed: u64, scale: u64, journal: Option<&P
         .zip(terms.chunks_mut(TERM_CHUNK))
         .map(|(first_rank, chunk)| Prep::Terms { first_rank, terms: Mutex::new(chunk) });
     let prep = ShardPlan::new(seed ^ 0xca11b).over(calibrations.into_iter().chain(chunks));
-    let prepared = crate::parallel::accept(exec.run_supervised(
+    let prepared = exec.sweep(
         &prep,
         |shard| match &shard.input {
             Prep::Calibrate(remedy) => {
@@ -231,10 +225,14 @@ fn fig12_stream_inner(exec: &Executor, seed: u64, scale: u64, journal: Option<&P
                 Prepared::Filled
             }
         },
-        &sup,
-    ));
+        (0..prep.len()).map(|_| None).collect(),
+        |mut done: Vec<Option<Prepared>>, slot, prepared| {
+            done[slot] = Some(prepared);
+            done
+        },
+    );
     drop(prep);
-    let (base, txt) = prep_results(prepared);
+    let (base, txt) = prep_results(crate::parallel::accept(exec, prepared));
     let zipf = Zipf::from_terms(terms);
 
     let cold_bytes_per_resolution = base.stats.total_bytes() as f64 / base.queried as f64;
@@ -321,12 +319,12 @@ fn fig12_stream_inner(exec: &Executor, seed: u64, scale: u64, journal: Option<&P
                 lookaside_engine::run_fingerprint(&[0xf161_2a11, seed, scale, window_count]);
             let mut ckpt = Checkpoint::resume(path, run_id, 1)
                 .unwrap_or_else(|e| panic!("fig12 journal {}: {e}", path.display()));
-            exec.run_fold_checkpointed(&shards, task, init, fold, &sup, &mut ckpt)
+            exec.sweep_checkpointed(&shards, task, init, fold, &mut ckpt)
                 .unwrap_or_else(|e| panic!("fig12 journal {}: {e}", path.display()))
         }
-        None => exec.run_fold_supervised(&shards, task, init, fold, &sup),
+        None => exec.sweep(&shards, task, init, fold),
     };
-    let acc = crate::parallel::accept(outcome);
+    let acc = crate::parallel::accept(exec, outcome);
     let overhead_mbps = acc.cum_overhead as f64 * 8.0 / (420.0 * 60.0) / 1e6;
     Fig12Data {
         per_minute: trace.per_minute().to_vec(),
@@ -359,7 +357,7 @@ mod tests {
         let mut statuses = StatusTally::default();
         for name in &names {
             let result = resolver.resolve(&mut internet.net, name, RrType::A);
-            crate::parallel::tally(&mut statuses, &result);
+            crate::experiments::tally(&mut statuses, &result);
         }
         RunOutcome {
             stats: internet.net.stats().clone(),

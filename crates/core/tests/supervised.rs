@@ -1,20 +1,16 @@
 //! Integration tests for supervised sweeps: checkpoint/resume through the
 //! public `fig12_stream_checkpointed` path, journal corruption fixtures,
-//! and property tests that retry/fault supervision never changes results.
-//!
-//! Everything here drives the explicit-path APIs (no `LOOKASIDE_*`
-//! environment mutation), so the tests are safe under the parallel test
-//! runner.
+//! fault injection through the `Executor`'s test-only fault plan, and
+//! property tests that retry/fault supervision never changes results.
 
 use std::fs;
 use std::path::PathBuf;
-use std::time::Duration;
 
 use lookaside::engine::{
-    run_fingerprint, Checkpoint, EngineFaultPlan, Executor, RetryPolicy, Shard, ShardPlan,
-    Supervisor,
+    run_fingerprint, Checkpoint, EngineFault, EngineFaultPlan, Executor, RetryPolicy, Shard,
+    ShardPlan,
 };
-use lookaside::experiments::Fig12Data;
+use lookaside::experiments::{fig8_9, Fig12Data};
 use lookaside::stream::{fig12_stream, fig12_stream_checkpointed};
 use proptest::prelude::*;
 
@@ -85,6 +81,74 @@ fn corrupt_mid_journal_record_resumes_byte_identical() {
     let _ = fs::remove_file(&path);
 }
 
+/// An executor with `jobs` workers, `max_attempts` per shard, and
+/// `faults` injected.
+fn faulty(jobs: usize, max_attempts: u32, faults: EngineFaultPlan) -> Executor {
+    let mut exec = Executor::new(jobs);
+    exec.retry = RetryPolicy::new(max_attempts);
+    exec.faults = faults;
+    exec
+}
+
+/// A fault plan that kills the first attempt of every shard.
+const EVERY_FIRST_ATTEMPT: EngineFaultPlan =
+    EngineFaultPlan { seed: 5, panic_per_mille: 1000, faulty_attempts: 1 };
+
+/// With one attempt per shard and every prep shard failing, Fig. 12
+/// refuses to build from a partial prep sweep even when the executor
+/// accepts degraded sweeps: every window cost derives from calibration.
+#[test]
+#[should_panic(expected = "fig12 calibration shard failed")]
+fn fig12_refuses_a_failed_calibration_even_with_allow_partial() {
+    let mut exec = faulty(2, 1, EVERY_FIRST_ATTEMPT);
+    exec.allow_partial = true;
+    let _ = fig12_stream(&exec, 7, SCALE);
+}
+
+/// A retry budget that outlasts the faults reproduces the clean figure.
+#[test]
+fn fig12_with_retried_faults_matches_clean() {
+    let clean = fig12_stream(&Executor::new(2), 7, SCALE);
+    for jobs in [1, 3] {
+        let retried = fig12_stream(&faulty(jobs, 2, EVERY_FIRST_ATTEMPT), 7, SCALE);
+        assert_fig12_identical(&retried, &clean);
+    }
+}
+
+/// Three Fig. 8/9 sizes on a one-attempt executor whose fault plan kills
+/// exactly one of them; returns the executor, the sizes and that shard.
+fn one_failed_size() -> (Executor, Vec<usize>, usize) {
+    let sizes = vec![20, 30, 40];
+    let faults = EngineFaultPlan { seed: 9, panic_per_mille: 150, faulty_attempts: u32::MAX };
+    let failed: Vec<usize> =
+        (0..sizes.len()).filter(|&i| faults.draw(i, 0) == EngineFault::Panic).collect();
+    assert_eq!(failed, [1], "the plan must fail exactly the middle size");
+    (faulty(2, 1, faults), sizes, 1)
+}
+
+#[test]
+#[should_panic(expected = "sweep degraded")]
+fn fig8_9_aborts_on_a_failed_shard_by_default() {
+    let (exec, sizes, _) = one_failed_size();
+    let _ = fig8_9(&exec, &sizes, 11);
+}
+
+#[test]
+fn fig8_9_with_allow_partial_returns_exactly_the_other_points() {
+    let (mut exec, sizes, failed) = one_failed_size();
+    exec.allow_partial = true;
+    let partial = fig8_9(&exec, &sizes, 11);
+    let clean = fig8_9(&Executor::serial(), &sizes, 11);
+    let expected: Vec<String> = clean
+        .iter()
+        .enumerate()
+        .filter(|&(i, _)| i != failed)
+        .map(|(_, p)| format!("{p:?}"))
+        .collect();
+    let got: Vec<String> = partial.iter().map(|p| format!("{p:?}")).collect();
+    assert_eq!(got, expected);
+}
+
 fn shard_value(s: &Shard<u64>) -> u64 {
     // A seed- and input-dependent value: any scheduling or resume bug that
     // swaps, drops, or duplicates a shard changes the fold.
@@ -107,30 +171,16 @@ proptest! {
         jobs in 1usize..5,
     ) {
         let shards = ShardPlan::new(seed).over(0..24u64);
-        let clean = Executor::serial().run_fold_supervised(
-            &shards, shard_value, Vec::new(), fold_pairs, &Supervisor::new());
+        let clean = Executor::serial().sweep(&shards, shard_value, Vec::new(), fold_pairs);
         // Attempts 0..3 may panic; attempt 3 always runs clean, so a
         // 4-attempt budget is guaranteed to complete every shard.
-        let sup = Supervisor {
-            retry: RetryPolicy::new(4),
-            watchdog: None,
-            faults: EngineFaultPlan {
-                seed,
-                panic_per_mille,
-                stall_per_mille: 0,
-                stall: Duration::from_millis(0),
-                faulty_attempts: 3,
-            },
-        };
-        let faulted = Executor::new(jobs)
-            .run_fold_supervised(&shards, shard_value, Vec::new(), fold_pairs, &sup);
+        let faults = EngineFaultPlan { seed, panic_per_mille, faulty_attempts: 3 };
+        let faulted = faulty(jobs, 4, faults).sweep(&shards, shard_value, Vec::new(), fold_pairs);
         prop_assert!(faulted.coverage.is_complete());
         prop_assert_eq!(&faulted.value, &clean.value);
         // The retry accounting is a pure function of the fault plan, so a
-        // serial run under the same supervisor reports the same coverage
-        // (speculation aside — there is no watchdog here).
-        let serial = Executor::serial()
-            .run_fold_supervised(&shards, shard_value, Vec::new(), fold_pairs, &sup);
+        // serial run under the same plan reports the same coverage.
+        let serial = faulty(1, 4, faults).sweep(&shards, shard_value, Vec::new(), fold_pairs);
         prop_assert_eq!(serial.coverage.retried, faulted.coverage.retried);
         prop_assert_eq!(serial.coverage.failed, faulted.coverage.failed);
         prop_assert_eq!(&serial.value, &clean.value);
@@ -149,8 +199,7 @@ proptest! {
         let path = temp_journal(&format!("cut-{seed}-{cut_percent}"));
         let mut ckpt = Checkpoint::fresh(&path, run_id, 1).unwrap();
         let full = Executor::serial()
-            .run_fold_checkpointed(
-                &shards, shard_value, Vec::new(), fold_pairs, &Supervisor::new(), &mut ckpt)
+            .sweep_checkpointed(&shards, shard_value, Vec::new(), fold_pairs, &mut ckpt)
             .unwrap();
         drop(ckpt);
         let bytes = fs::read(&path).unwrap();
@@ -165,8 +214,7 @@ proptest! {
         drop(ckpt);
         let mut ckpt = Checkpoint::resume(&path, run_id, 1).unwrap();
         let again = Executor::serial()
-            .run_fold_checkpointed(
-                &shards, shard_value, Vec::new(), fold_pairs, &Supervisor::new(), &mut ckpt)
+            .sweep_checkpointed(&shards, shard_value, Vec::new(), fold_pairs, &mut ckpt)
             .unwrap();
         prop_assert_eq!(&again.value, &full.value);
         prop_assert_eq!(again.coverage.resumed, resumed_shards.len());

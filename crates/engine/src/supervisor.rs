@@ -1,84 +1,36 @@
-//! The supervision layer: bounded retries, a straggler watchdog with
-//! speculative re-dispatch, seeded fault injection, and graceful
-//! degradation over [`Executor`] sweeps (DESIGN.md §14).
+//! Sweep supervision: bounded retries, seeded fault injection, and
+//! coverage accounting over every [`Executor`] sweep (DESIGN.md §14).
 //!
-//! [`Executor::run_fold_supervised`] wraps the streaming fold with a
-//! supervising dispatcher:
+//! [`Executor::sweep`] runs a shard plan and folds completed results in
+//! ascending shard id:
 //!
 //! * failed shards are requeued under a bounded, seeded [`RetryPolicy`]
 //!   with a per-shard attempt budget;
-//! * an optional [`Watchdog`] re-dispatches shards that outlive their
-//!   deadline — first completion wins, and because every task is a pure
-//!   function of its shard, duplicates are byte-identical, so the
-//!   tie-break (keyed by shard id, later arrivals dropped) cannot change
-//!   results;
 //! * shards that exhaust their budget degrade into explicit [`Coverage`]
 //!   accounting instead of aborting the sweep — no silent caps;
-//! * a seeded [`EngineFaultPlan`] injects worker panics and stalls so
-//!   every path above is testable without real crashes.
+//! * a seeded [`EngineFaultPlan`] injects worker panics so every path
+//!   above is testable without real crashes.
 //!
-//! Determinism contract: the folded value and the failure set are pure
-//! functions of (shards, task, retry budget, fault plan). The wall
-//! clock steers only *scheduling* — whether the watchdog fires, which
-//! duplicate finishes first — never what any shard computes nor the
-//! order the fold observes results. The only scheduling-dependent field
-//! is [`Coverage::speculated`], which is reported for observability and
-//! deliberately kept out of result tables.
+//! [`Executor::sweep_checkpointed`] is the same supervision with a checkpoint
+//! journal attached.
+//!
+//! Determinism contract: the folded value and the coverage are pure
+//! functions of (shards, task, retry budget, fault plan). The worker
+//! count steers only *scheduling* — never what any shard computes nor
+//! the order the fold observes results.
 
 // lint:allow-file(panic::slice-index) -- every per-shard vector below is constructed with exactly shards.len() elements and indexed only by slot ids yielded by enumerate()/channel echoes of those ids; bounds are structural, and a miss would be an engine bug worth a loud panic
 
 use std::collections::{BTreeMap, VecDeque};
-use std::env;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc;
 use std::thread;
-use std::time::{Duration, Instant};
 
 use crate::checkpoint::{Checkpoint, JournalCodec, JournalError};
-use crate::executor::{run_one, Executor, ShardError};
+use crate::executor::Executor;
 use crate::plan::Shard;
 use crate::queue::BoundedQueue;
 use crate::seed::splitmix64;
-
-/// Environment variable bounding per-shard attempts (a positive integer;
-/// the first attempt counts).
-pub const RETRIES_ENV: &str = "LOOKASIDE_RETRIES";
-
-/// Environment variable arming the straggler watchdog with a deadline in
-/// milliseconds (`0` or unset leaves it disarmed).
-pub const WATCHDOG_ENV: &str = "LOOKASIDE_WATCHDOG_MS";
-
-/// Environment variable carrying a fault-injection spec, e.g.
-/// `panic=40,stall=20,stall_ms=30,seed=7,cap=1` (rates are per-mille;
-/// `cap` bounds how many attempts per shard are fault-eligible).
-pub const FAULTS_ENV: &str = "LOOKASIDE_FAULTS";
-
-/// Environment variable accepting degraded sweeps (`1`/`true`/`on`):
-/// instead of aborting when shards exhaust their retry budget, callers
-/// print the coverage table and keep the partial result — the
-/// `repro --allow-partial` flag sets it.
-pub const ALLOW_PARTIAL_ENV: &str = "LOOKASIDE_ALLOW_PARTIAL";
-
-/// Environment variable naming the shard journal for checkpointed sweeps
-/// — the `repro --checkpoint <path>` / `--resume <path>` flags set it.
-pub const CHECKPOINT_ENV: &str = "LOOKASIDE_CHECKPOINT";
-
-/// Whether degraded sweeps should be accepted ([`ALLOW_PARTIAL_ENV`]).
-pub fn allow_partial_requested() -> bool {
-    // lint:allow(determinism::env-read) -- LOOKASIDE_ALLOW_PARTIAL only decides whether a degraded sweep aborts; the shards it drops are printed in the coverage table, never silently
-    matches!(env::var(ALLOW_PARTIAL_ENV).ok().as_deref().map(str::trim), Some("1" | "true" | "on"))
-}
-
-/// The journal path for checkpointed sweeps, when [`CHECKPOINT_ENV`] is
-/// set and non-empty.
-pub fn checkpoint_path() -> Option<String> {
-    // lint:allow(determinism::env-read) -- LOOKASIDE_CHECKPOINT names where completed shard bytes are journalled; resume folds those exact bytes back, so the path never reaches results
-    env::var(CHECKPOINT_ENV).ok().map(|p| p.trim().to_string()).filter(|p| !p.is_empty())
-}
-
-/// Speculative dispatches draw fault/backoff randomness from attempt
-/// numbers in a disjoint band so they can never perturb the budgeted
-/// attempt sequence (which is what makes the failure set deterministic).
-const SPECULATIVE_BASE: u32 = 1 << 20;
 
 /// Bounded, seeded retry budget for failed shards.
 ///
@@ -109,22 +61,6 @@ impl Default for RetryPolicy {
     }
 }
 
-/// Deadline-based straggler detection with speculative re-dispatch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Watchdog {
-    /// How long a dispatched shard may run before a duplicate is issued.
-    pub deadline: Duration,
-    /// Maximum speculative duplicates per shard.
-    pub max_speculative: u32,
-}
-
-impl Watchdog {
-    /// A watchdog issuing at most one duplicate per shard past `deadline`.
-    pub fn new(deadline: Duration) -> Self {
-        Watchdog { deadline, max_speculative: 1 }
-    }
-}
-
 /// A fault injected into one `(shard, attempt)` execution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EngineFault {
@@ -132,12 +68,10 @@ pub enum EngineFault {
     None,
     /// Fail the attempt as if the worker panicked inside the task.
     Panic,
-    /// Sleep before running the task, simulating a straggler.
-    Stall(Duration),
 }
 
-/// Seeded worker panic/stall injection — the engine's chaos plane,
-/// mirroring the resolver's link-fault plane from PR 1.
+/// Seeded worker panic injection — the engine's chaos plane, mirroring
+/// the resolver's link-fault plane. Only tests set one.
 ///
 /// Faults are a pure function of `(seed, shard_id, attempt)`, so a
 /// faulty run is exactly reproducible and the failure set in a coverage
@@ -148,10 +82,6 @@ pub struct EngineFaultPlan {
     pub seed: u64,
     /// Per-mille probability that an attempt dies as a worker panic.
     pub panic_per_mille: u16,
-    /// Per-mille probability that an attempt stalls before running.
-    pub stall_per_mille: u16,
-    /// How long an injected stall sleeps.
-    pub stall: Duration,
     /// Attempts at index `>= faulty_attempts` always run clean, so tests
     /// can guarantee a bounded retry budget wins.
     pub faulty_attempts: u32,
@@ -159,17 +89,12 @@ pub struct EngineFaultPlan {
 
 impl EngineFaultPlan {
     /// No injected faults — the production setting.
-    pub const NONE: EngineFaultPlan = EngineFaultPlan {
-        seed: 0,
-        panic_per_mille: 0,
-        stall_per_mille: 0,
-        stall: Duration::from_millis(0),
-        faulty_attempts: 0,
-    };
+    pub const NONE: EngineFaultPlan =
+        EngineFaultPlan { seed: 0, panic_per_mille: 0, faulty_attempts: 0 };
 
     /// Whether the plan can ever inject anything.
     pub fn is_none(&self) -> bool {
-        self.panic_per_mille == 0 && self.stall_per_mille == 0
+        self.panic_per_mille == 0
     }
 
     /// Draws the fault for one `(shard_id, attempt)` execution.
@@ -181,109 +106,10 @@ impl EngineFaultPlan {
             (splitmix64(splitmix64(self.seed, u64::from(attempt)), shard_id as u64) % 1000) as u16;
         if roll < self.panic_per_mille {
             EngineFault::Panic
-        } else if roll < self.panic_per_mille.saturating_add(self.stall_per_mille) {
-            EngineFault::Stall(self.stall)
         } else {
             EngineFault::None
         }
     }
-}
-
-/// Configuration of one supervised sweep.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Supervisor {
-    /// Per-shard retry budget.
-    pub retry: RetryPolicy,
-    /// Optional straggler watchdog (effective on parallel runs; a serial
-    /// run has no second worker to speculate on).
-    pub watchdog: Option<Watchdog>,
-    /// Injected faults; [`EngineFaultPlan::NONE`] in production.
-    pub faults: EngineFaultPlan,
-}
-
-impl Supervisor {
-    /// Three attempts per shard, no watchdog, no injected faults.
-    pub fn new() -> Self {
-        Supervisor { retry: RetryPolicy::default(), watchdog: None, faults: EngineFaultPlan::NONE }
-    }
-
-    /// Builds the session supervisor from `LOOKASIDE_RETRIES`,
-    /// `LOOKASIDE_WATCHDOG_MS`, and `LOOKASIDE_FAULTS`.
-    ///
-    /// All three knobs steer scheduling and failure budgets only: a
-    /// completed shard's bytes are a pure function of its shard, so none
-    /// of them can reach results — failures are always surfaced through
-    /// the explicit coverage accounting.
-    pub fn from_env() -> Self {
-        let mut sup = Supervisor::new();
-        // lint:allow(determinism::env-read) -- LOOKASIDE_RETRIES bounds the retry budget; completed shard bytes are untouched and failures surface in the explicit coverage table
-        if let Some(n) = env::var(RETRIES_ENV).ok().and_then(|v| v.trim().parse::<u32>().ok()) {
-            sup.retry = RetryPolicy::new(n);
-        }
-        // lint:allow(determinism::env-read) -- LOOKASIDE_WATCHDOG_MS arms speculative re-dispatch; first-completion-wins dedup keeps results byte-identical
-        if let Some(ms) = env::var(WATCHDOG_ENV).ok().and_then(|v| v.trim().parse::<u64>().ok()) {
-            if ms > 0 {
-                sup.watchdog = Some(Watchdog::new(Duration::from_millis(ms)));
-            }
-        }
-        // lint:allow(determinism::env-read) -- LOOKASIDE_FAULTS injects the seeded engine chaos plane for testing; the injected failure set is a pure function of the spec
-        if let Ok(spec) = env::var(FAULTS_ENV) {
-            sup.faults = parse_fault_spec(&spec);
-        }
-        sup
-    }
-}
-
-impl Default for Supervisor {
-    fn default() -> Self {
-        Supervisor::new()
-    }
-}
-
-/// Parses a `panic=40,stall=20,stall_ms=30,seed=7,cap=1` spec; malformed
-/// entries are ignored so a typo degrades to "no fault" rather than a
-/// crash.
-fn parse_fault_spec(spec: &str) -> EngineFaultPlan {
-    let mut plan = EngineFaultPlan {
-        seed: 0xfa_0175,
-        panic_per_mille: 0,
-        stall_per_mille: 0,
-        stall: Duration::from_millis(25),
-        faulty_attempts: u32::MAX,
-    };
-    for part in spec.split(',') {
-        let Some((key, value)) = part.split_once('=') else { continue };
-        let (key, value) = (key.trim(), value.trim());
-        match key {
-            "panic" => {
-                if let Ok(v) = value.parse::<u16>() {
-                    plan.panic_per_mille = v.min(1000);
-                }
-            }
-            "stall" => {
-                if let Ok(v) = value.parse::<u16>() {
-                    plan.stall_per_mille = v.min(1000);
-                }
-            }
-            "stall_ms" => {
-                if let Ok(v) = value.parse::<u64>() {
-                    plan.stall = Duration::from_millis(v);
-                }
-            }
-            "seed" => {
-                if let Ok(v) = value.parse::<u64>() {
-                    plan.seed = v;
-                }
-            }
-            "cap" => {
-                if let Ok(v) = value.parse::<u32>() {
-                    plan.faulty_attempts = v;
-                }
-            }
-            _ => {}
-        }
-    }
-    plan
 }
 
 /// One shard that exhausted its retry budget.
@@ -293,11 +119,11 @@ pub struct ShardFailure {
     pub shard_id: usize,
     /// Attempts consumed (the full retry budget).
     pub attempts: u32,
-    /// The last budgeted attempt's failure message.
+    /// The last attempt's failure message.
     pub message: String,
 }
 
-/// Per-shard accounting of how a supervised sweep ended.
+/// Per-shard accounting of how a sweep ended.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Coverage {
     /// Shards in the plan.
@@ -308,10 +134,6 @@ pub struct Coverage {
     pub resumed: usize,
     /// Shards that completed only after at least one failed attempt.
     pub retried: usize,
-    /// Speculative duplicates issued by the watchdog. This is the one
-    /// scheduling-dependent counter — reported for observability, never
-    /// printed in result tables.
-    pub speculated: usize,
     /// Shards that exhausted their budget, ascending by shard id.
     pub failed: Vec<ShardFailure>,
 }
@@ -357,7 +179,7 @@ impl Coverage {
     }
 }
 
-/// A supervised sweep's folded value plus its coverage accounting.
+/// A sweep's folded value plus its coverage accounting.
 ///
 /// Callers must consult `coverage` before treating `value` as complete:
 /// a degraded sweep folds only the shards that completed.
@@ -370,19 +192,24 @@ pub struct SweepOutcome<A> {
 }
 
 impl Executor {
-    /// Runs every shard under supervision and folds completed results in
-    /// ascending shard-id order, passing the shard id alongside each
-    /// value so degraded folds can account for holes.
+    /// Runs every shard through `task` and folds completed results into
+    /// `init` in ascending shard-id order, passing the shard id alongside
+    /// each value so degraded folds can account for holes.
     ///
-    /// Never panics on shard failure: shards that exhaust their retry
-    /// budget are skipped by the fold and listed in the coverage.
-    pub fn run_fold_supervised<I, T, A, F, G>(
+    /// With one worker (or one shard) everything runs inline on the
+    /// calling thread; otherwise a scoped pool of `min(jobs, shards)`
+    /// workers drains a bounded queue while the calling thread folds,
+    /// buffering out-of-order completions. A panicking attempt is caught
+    /// and retried within [`Executor::retry`]; a shard that exhausts the
+    /// budget is skipped by the fold and listed in the coverage. Never
+    /// panics on shard failure.
+    // lint:entry(hot-path)
+    pub fn sweep<I, T, A, F, G>(
         &self,
         shards: &[Shard<I>],
         task: F,
         init: A,
         fold: G,
-        sup: &Supervisor,
     ) -> SweepOutcome<A>
     where
         I: Sync,
@@ -391,26 +218,25 @@ impl Executor {
         G: FnMut(A, usize, T) -> A,
     {
         let (outcome, _journal_err) =
-            supervise(self, shards, task, init, fold, sup, BTreeMap::new(), None);
+            supervise(self, shards, task, init, fold, BTreeMap::new(), None);
         outcome
     }
 
-    /// [`run_fold_supervised`](Executor::run_fold_supervised) with a
-    /// checkpoint journal: shard results already in the journal are
-    /// folded without re-running, and shards completed by this run are
-    /// appended to it as the fold front advances.
+    /// [`sweep`](Executor::sweep) with a checkpoint journal: shard
+    /// results already in the journal are folded without re-running, and
+    /// shards completed by this run are appended to it as the fold front
+    /// advances.
     ///
     /// # Errors
     ///
     /// Returns the first [`JournalError`] hit while appending; the
     /// journal's durable prefix remains valid for a later resume.
-    pub fn run_fold_checkpointed<I, T, A, F, G>(
+    pub fn sweep_checkpointed<I, T, A, F, G>(
         &self,
         shards: &[Shard<I>],
         task: F,
         init: A,
         fold: G,
-        sup: &Supervisor,
         ckpt: &mut Checkpoint<T>,
     ) -> Result<SweepOutcome<A>, JournalError>
     where
@@ -422,42 +248,13 @@ impl Executor {
         let resumed = ckpt.take_resumed();
         let (outcome, journal_err) = {
             let mut sink = |shard_id: usize, value: &T| ckpt.record(shard_id, value);
-            supervise(self, shards, task, init, fold, sup, resumed, Some(&mut sink))
+            supervise(self, shards, task, init, fold, resumed, Some(&mut sink))
         };
         if let Some(err) = journal_err {
             return Err(err);
         }
         ckpt.sync()?;
         Ok(outcome)
-    }
-
-    /// Runs every shard under supervision, collecting one `Option<T>`
-    /// per shard in submission order — `None` marks a shard that
-    /// exhausted its retry budget (listed in the coverage).
-    pub fn run_supervised<I, T, F>(
-        &self,
-        shards: &[Shard<I>],
-        task: F,
-        sup: &Supervisor,
-    ) -> SweepOutcome<Vec<Option<T>>>
-    where
-        I: Sync,
-        T: Send,
-        F: Fn(&Shard<I>) -> T + Sync,
-    {
-        let init: Vec<Option<T>> = (0..shards.len()).map(|_| None).collect();
-        self.run_fold_supervised(
-            shards,
-            task,
-            init,
-            |mut acc, slot, value| {
-                if let Some(cell) = acc.get_mut(slot) {
-                    *cell = Some(value);
-                }
-                acc
-            },
-            sup,
-        )
     }
 }
 
@@ -470,76 +267,115 @@ enum SlotState {
 
 type SinkRef<'a, T> = Option<&'a mut (dyn FnMut(usize, &T) -> Result<(), JournalError> + 'a)>;
 
-fn run_injected<I, T, F>(
+/// Runs one attempt, catching a panic as its message.
+fn run_attempt<I, T, F>(
     task: &F,
     shard: &Shard<I>,
     attempt: u32,
     faults: &EngineFaultPlan,
-) -> Result<T, ShardError>
+) -> Result<T, String>
 where
     F: Fn(&Shard<I>) -> T,
 {
     match faults.draw(shard.id, attempt) {
-        EngineFault::Panic => Err(ShardError {
-            shard_id: shard.id,
-            message: format!("injected worker panic (attempt {attempt})"),
-        }),
-        EngineFault::Stall(d) => {
-            thread::sleep(d);
-            run_one(task, shard)
+        EngineFault::Panic => Err(format!("injected worker panic (attempt {attempt})")),
+        EngineFault::None => {
+            catch_unwind(AssertUnwindSafe(|| task(shard))).map_err(|p| panic_message(&*p))
         }
-        EngineFault::None => run_one(task, shard),
     }
 }
 
-/// Advances the fold front over resolved slots: `Done` slots are
-/// journaled (unless resumed) and folded, `Failed` slots are skipped.
-#[allow(clippy::too_many_arguments)]
-fn advance_fold<T, A, G>(
-    next: &mut usize,
-    states: &[SlotState],
-    pending: &mut BTreeMap<usize, T>,
-    acc: &mut Option<A>,
-    fold: &mut G,
-    resumed_flags: &[bool],
-    sink: &mut SinkRef<'_, T>,
-    journal_err: &mut Option<JournalError>,
-) where
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "non-string panic payload".to_string()
+    }
+}
+
+/// The fold front: per-slot state, the reorder buffer, the accumulator,
+/// and the coverage being accounted.
+struct Front<'s, T, A, G> {
+    states: Vec<SlotState>,
+    resumed: Vec<bool>,
+    pending: BTreeMap<usize, T>,
+    next: usize,
+    acc: Option<A>,
+    fold: G,
+    cov: Coverage,
+    max_attempts: u32,
+    sink: SinkRef<'s, T>,
+    journal_err: Option<JournalError>,
+}
+
+impl<T, A, G> Front<'_, T, A, G>
+where
     G: FnMut(A, usize, T) -> A,
 {
-    while let Some(state) = states.get(*next) {
-        match state {
-            SlotState::Open => break,
-            SlotState::Failed => *next += 1,
-            SlotState::Done => {
-                let Some(value) = pending.remove(next) else { break };
-                let was_resumed = resumed_flags.get(*next).copied().unwrap_or(false);
-                if !was_resumed && journal_err.is_none() {
-                    if let Some(s) = sink.as_mut() {
-                        if let Err(e) = s(*next, &value) {
-                            *journal_err = Some(e);
+    /// Records attempt `attempt` of shard `slot`; returns the next attempt
+    /// to run when the shard failed with budget left.
+    fn settle(
+        &mut self,
+        slot: usize,
+        shard_id: usize,
+        attempt: u32,
+        result: Result<T, String>,
+    ) -> Option<u32> {
+        match result {
+            Ok(value) => {
+                self.states[slot] = SlotState::Done;
+                self.cov.completed += 1;
+                if attempt > 0 {
+                    self.cov.retried += 1;
+                }
+                self.pending.insert(slot, value);
+            }
+            Err(_) if attempt + 1 < self.max_attempts => return Some(attempt + 1),
+            Err(message) => {
+                self.states[slot] = SlotState::Failed;
+                self.cov.failed.push(ShardFailure { shard_id, attempts: attempt + 1, message });
+            }
+        }
+        self.advance();
+        None
+    }
+
+    /// Advances the fold front over resolved slots: `Done` slots are
+    /// journaled (unless resumed) and folded, `Failed` slots are skipped.
+    fn advance(&mut self) {
+        while let Some(state) = self.states.get(self.next) {
+            match state {
+                SlotState::Open => break,
+                SlotState::Failed => self.next += 1,
+                SlotState::Done => {
+                    let Some(value) = self.pending.remove(&self.next) else { break };
+                    if !self.resumed[self.next] && self.journal_err.is_none() {
+                        if let Some(sink) = self.sink.as_mut() {
+                            if let Err(e) = sink(self.next, &value) {
+                                self.journal_err = Some(e);
+                            }
                         }
                     }
+                    if let Some(current) = self.acc.take() {
+                        self.acc = Some((self.fold)(current, self.next, value));
+                    }
+                    self.next += 1;
                 }
-                if let Some(current) = acc.take() {
-                    *acc = Some(fold(current, *next, value));
-                }
-                *next += 1;
             }
         }
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn supervise<I, T, A, F, G>(
     exec: &Executor,
     shards: &[Shard<I>],
     task: F,
     init: A,
-    mut fold: G,
-    sup: &Supervisor,
+    fold: G,
     resumed: BTreeMap<usize, T>,
-    mut sink: SinkRef<'_, T>,
+    sink: SinkRef<'_, T>,
 ) -> (SweepOutcome<A>, Option<JournalError>)
 where
     I: Sync,
@@ -548,102 +384,52 @@ where
     G: FnMut(A, usize, T) -> A,
 {
     let n = shards.len();
-    let mut cov = Coverage { total: n, ..Coverage::default() };
-    let mut acc: Option<A> = Some(init);
-    let mut journal_err: Option<JournalError> = None;
-
-    let mut states = vec![SlotState::Open; n];
-    let mut resumed_flags = vec![false; n];
-    let mut pending: BTreeMap<usize, T> = BTreeMap::new();
+    let mut front = Front {
+        states: vec![SlotState::Open; n],
+        resumed: vec![false; n],
+        pending: BTreeMap::new(),
+        next: 0,
+        acc: Some(init),
+        fold,
+        cov: Coverage { total: n, ..Coverage::default() },
+        max_attempts: exec.retry.max_attempts,
+        sink,
+        journal_err: None,
+    };
     for (id, value) in resumed {
         // Out-of-range ids can only come from a journal of a larger run;
         // the run fingerprint should prevent that, but never trust them.
         if id < n {
-            states[id] = SlotState::Done;
-            resumed_flags[id] = true;
-            cov.resumed += 1;
-            cov.completed += 1;
-            pending.insert(id, value);
+            front.states[id] = SlotState::Done;
+            front.resumed[id] = true;
+            front.cov.resumed += 1;
+            front.cov.completed += 1;
+            front.pending.insert(id, value);
         }
     }
-    let mut next_fold = 0usize;
-    advance_fold(
-        &mut next_fold,
-        &states,
-        &mut pending,
-        &mut acc,
-        &mut fold,
-        &resumed_flags,
-        &mut sink,
-        &mut journal_err,
-    );
+    front.advance();
 
     let workers = exec.jobs().min(n);
     if workers <= 1 {
-        // Serial supervision: retries and fault injection inline; the
-        // watchdog needs a second worker to speculate on, so it is
-        // disarmed here (deadlines would change nothing anyway — the
-        // stalled attempt is the only possible source of the result).
         for (slot, shard) in shards.iter().enumerate() {
-            if states[slot] != SlotState::Open {
+            if front.states[slot] != SlotState::Open {
                 continue;
             }
-            let mut attempt = 0u32;
-            loop {
-                let result = run_injected(&task, shard, attempt, &sup.faults);
-                attempt += 1;
-                match result {
-                    Ok(value) => {
-                        states[slot] = SlotState::Done;
-                        cov.completed += 1;
-                        if attempt > 1 {
-                            cov.retried += 1;
-                        }
-                        pending.insert(slot, value);
-                        break;
-                    }
-                    Err(err) => {
-                        if attempt >= sup.retry.max_attempts {
-                            states[slot] = SlotState::Failed;
-                            cov.failed.push(ShardFailure {
-                                shard_id: shard.id,
-                                attempts: attempt,
-                                message: err.message,
-                            });
-                            break;
-                        }
-                    }
-                }
+            let mut attempt = 0;
+            while let Some(next) = front.settle(
+                slot,
+                shard.id,
+                attempt,
+                run_attempt(&task, shard, attempt, &exec.faults),
+            ) {
+                attempt = next;
             }
-            advance_fold(
-                &mut next_fold,
-                &states,
-                &mut pending,
-                &mut acc,
-                &mut fold,
-                &resumed_flags,
-                &mut sink,
-                &mut journal_err,
-            );
         }
     } else {
-        supervise_parallel(
-            exec,
-            shards,
-            &task,
-            sup,
-            &mut states,
-            &resumed_flags,
-            &mut pending,
-            &mut next_fold,
-            &mut acc,
-            &mut fold,
-            &mut cov,
-            &mut sink,
-            &mut journal_err,
-        );
+        supervise_parallel(exec, workers, shards, &task, &mut front);
     }
 
+    let Front { acc, mut cov, journal_err, .. } = front;
     cov.failed.sort_by_key(|f| f.shard_id);
     let outcome = SweepOutcome {
         // lint:allow(panic::expect) -- the accumulator is only taken while folding and always put back; a hole here is an engine bug worth failing loudly
@@ -653,42 +439,31 @@ where
     (outcome, journal_err)
 }
 
-#[allow(clippy::too_many_arguments)]
 fn supervise_parallel<I, T, A, F, G>(
     exec: &Executor,
+    workers: usize,
     shards: &[Shard<I>],
     task: &F,
-    sup: &Supervisor,
-    states: &mut [SlotState],
-    resumed_flags: &[bool],
-    pending: &mut BTreeMap<usize, T>,
-    next_fold: &mut usize,
-    acc: &mut Option<A>,
-    fold: &mut G,
-    cov: &mut Coverage,
-    sink: &mut SinkRef<'_, T>,
-    journal_err: &mut Option<JournalError>,
+    front: &mut Front<'_, T, A, G>,
 ) where
     I: Sync,
     T: Send,
     F: Fn(&Shard<I>) -> T + Sync,
     G: FnMut(A, usize, T) -> A,
 {
-    let n = shards.len();
-    let workers = exec.jobs().min(n);
     let capacity = workers * 2;
     let queue: BoundedQueue<(usize, u32)> = BoundedQueue::new(capacity);
-    let (tx, rx) = mpsc::channel::<(usize, u32, Result<T, ShardError>)>();
+    let (tx, rx) = mpsc::channel::<(usize, u32, Result<T, String>)>();
 
     thread::scope(|scope| {
         let queue = &queue;
-        let faults = &sup.faults;
+        let faults = &exec.faults;
         for _ in 0..workers {
             let tx = tx.clone();
             scope.spawn(move || {
                 while let Some((slot, attempt)) = queue.pop() {
                     let Some(shard) = shards.get(slot) else { continue };
-                    let result = run_injected(task, shard, attempt, faults);
+                    let result = run_attempt(task, shard, attempt, faults);
                     if tx.send((slot, attempt, result)).is_err() {
                         break;
                     }
@@ -697,155 +472,42 @@ fn supervise_parallel<I, T, A, F, G>(
         }
         drop(tx);
 
-        let mut backlog: VecDeque<usize> = states
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| **s == SlotState::Open)
-            .map(|(i, _)| i)
+        // (slot, attempt) pairs waiting for a queue place; a slot is in
+        // the backlog or in flight, never both, so it has one attempt
+        // outstanding at a time.
+        let mut backlog: VecDeque<(usize, u32)> = (0..shards.len())
+            .filter(|&slot| front.states[slot] == SlotState::Open)
+            .map(|slot| (slot, 0))
             .collect();
         let mut unresolved = backlog.len();
         let mut outstanding = 0usize;
-        let mut budget_dispatched = vec![0u32; n];
-        let mut inflight = vec![0u32; n];
-        let mut had_failure = vec![false; n];
-        let mut spec_issued = vec![0u32; n];
-        let mut last_error: Vec<Option<String>> = vec![None; n];
-        let mut last_dispatch: Vec<Option<Instant>> = vec![None; n];
-
-        loop {
-            // Dispatch from the backlog while there is room in flight;
+        while unresolved > 0 {
             // outstanding < capacity guarantees push never blocks.
             while outstanding < capacity {
-                let Some(slot) = backlog.pop_front() else { break };
-                if states[slot] != SlotState::Open {
-                    continue;
-                }
-                let attempt = budget_dispatched[slot];
-                budget_dispatched[slot] += 1;
-                if !queue.push((slot, attempt)) {
+                let Some(item) = backlog.pop_front() else { break };
+                if !queue.push(item) {
                     break;
                 }
                 outstanding += 1;
-                inflight[slot] += 1;
-                // lint:allow(determinism::wall-clock) -- dispatch timestamps feed only the watchdog's speculation deadline; results and the failure set are pure functions of the shard plan
-                last_dispatch[slot] = Some(Instant::now());
             }
-            if unresolved == 0 {
-                break;
-            }
-
-            let message = match sup.watchdog {
-                Some(w) => match rx.recv_timeout(w.deadline) {
-                    Ok(m) => Some(m),
-                    Err(mpsc::RecvTimeoutError::Timeout) => None,
-                    Err(mpsc::RecvTimeoutError::Disconnected) => break,
-                },
-                None => match rx.recv() {
-                    Ok(m) => Some(m),
-                    Err(_) => break,
-                },
-            };
-
-            let Some((slot, attempt, result)) = message else {
-                // Watchdog tick: speculate on every overdue open shard.
-                let Some(w) = sup.watchdog else { continue };
-                for slot in 0..n {
-                    if outstanding >= capacity {
-                        break;
-                    }
-                    let overdue = states[slot] == SlotState::Open
-                        && inflight[slot] > 0
-                        && spec_issued[slot] < w.max_speculative
-                        && last_dispatch[slot].is_some_and(|t| t.elapsed() >= w.deadline);
-                    if !overdue {
-                        continue;
-                    }
-                    let attempt = SPECULATIVE_BASE + spec_issued[slot];
-                    spec_issued[slot] += 1;
-                    cov.speculated += 1;
-                    if !queue.push((slot, attempt)) {
-                        break;
-                    }
-                    outstanding += 1;
-                    inflight[slot] += 1;
-                    // lint:allow(determinism::wall-clock) -- same scheduling-only timestamp as above, for the speculative copy
-                    last_dispatch[slot] = Some(Instant::now());
-                }
-                continue;
-            };
-
+            let Ok((slot, attempt, result)) = rx.recv() else { break };
             outstanding -= 1;
-            inflight[slot] -= 1;
-            if states[slot] != SlotState::Open {
-                // First completion already won; drop the duplicate.
-                continue;
-            }
-            match result {
-                Ok(value) => {
-                    states[slot] = SlotState::Done;
-                    unresolved -= 1;
-                    cov.completed += 1;
-                    if had_failure[slot] {
-                        cov.retried += 1;
-                    }
-                    pending.insert(slot, value);
-                    advance_fold(
-                        next_fold,
-                        states,
-                        pending,
-                        acc,
-                        fold,
-                        resumed_flags,
-                        sink,
-                        journal_err,
-                    );
-                }
-                Err(err) => {
-                    let budgeted = attempt < SPECULATIVE_BASE;
-                    if budgeted {
-                        had_failure[slot] = true;
-                        last_error[slot] = Some(err.message);
-                        if budget_dispatched[slot] < sup.retry.max_attempts {
-                            // Seeded requeue position: spread retries so
-                            // they do not redispatch in lockstep.
-                            let draw = splitmix64(sup.retry.seed ^ u64::from(attempt), slot as u64);
-                            if draw & 1 == 0 {
-                                backlog.push_back(slot);
-                            } else {
-                                backlog.push_front(slot);
-                            }
-                            continue;
-                        }
-                    }
-                    // Budget exhausted (or a speculative copy died): the
-                    // shard fails once nothing else is in flight for it.
-                    if budget_dispatched[slot] >= sup.retry.max_attempts && inflight[slot] == 0 {
-                        states[slot] = SlotState::Failed;
-                        unresolved -= 1;
-                        cov.failed.push(ShardFailure {
-                            shard_id: shards.get(slot).map_or(slot, |s| s.id),
-                            attempts: budget_dispatched[slot],
-                            message: last_error[slot]
-                                .take()
-                                .unwrap_or_else(|| "shard failed".to_string()),
-                        });
-                        advance_fold(
-                            next_fold,
-                            states,
-                            pending,
-                            acc,
-                            fold,
-                            resumed_flags,
-                            sink,
-                            journal_err,
-                        );
+            let shard_id = shards.get(slot).map_or(slot, |s| s.id);
+            match front.settle(slot, shard_id, attempt, result) {
+                // Seeded requeue position: spread retries so they do not
+                // redispatch in lockstep.
+                Some(next) => {
+                    if splitmix64(exec.retry.seed ^ u64::from(attempt), slot as u64) & 1 == 0 {
+                        backlog.push_back((slot, next));
+                    } else {
+                        backlog.push_front((slot, next));
                     }
                 }
+                None => unresolved -= 1,
             }
         }
         queue.close();
-        // Workers drain whatever is still queued (results for already-
-        // resolved slots are dropped above) and exit; the scope joins.
+        // Workers drain whatever is still queued and exit; the scope joins.
     });
 }
 
@@ -858,14 +520,17 @@ mod tests {
         shards.iter().fold(0u64, |acc, s| acc.wrapping_add(s.seed ^ s.input as u64))
     }
 
-    fn sum_supervised(jobs: usize, shards: &[Shard<usize>], sup: &Supervisor) -> SweepOutcome<u64> {
-        Executor::new(jobs).run_fold_supervised(
-            shards,
-            |s| s.seed ^ s.input as u64,
-            0u64,
-            |acc, _slot, v| acc.wrapping_add(v),
-            sup,
-        )
+    /// An executor with `jobs` workers, `max_attempts` per shard, and
+    /// `faults` injected.
+    fn faulty(jobs: usize, max_attempts: u32, faults: EngineFaultPlan) -> Executor {
+        let mut exec = Executor::new(jobs);
+        exec.retry = RetryPolicy::new(max_attempts);
+        exec.faults = faults;
+        exec
+    }
+
+    fn sum_supervised(exec: &Executor, shards: &[Shard<usize>]) -> SweepOutcome<u64> {
+        exec.sweep(shards, |s| s.seed ^ s.input as u64, 0u64, |acc, _slot, v| acc.wrapping_add(v))
     }
 
     #[test]
@@ -873,7 +538,7 @@ mod tests {
         let shards = ShardPlan::new(7).over(0..97usize);
         let want = clean_sum(&shards);
         for jobs in [1, 2, 8] {
-            let out = sum_supervised(jobs, &shards, &Supervisor::new());
+            let out = sum_supervised(&Executor::new(jobs), &shards);
             assert_eq!(out.value, want, "jobs={jobs}");
             assert!(out.coverage.is_complete());
             assert_eq!(out.coverage.completed, 97);
@@ -886,19 +551,9 @@ mod tests {
         let shards = ShardPlan::new(3).over(0..64usize);
         let want = clean_sum(&shards);
         // Every first attempt panics; the retry (attempt 1) runs clean.
-        let sup = Supervisor {
-            retry: RetryPolicy::new(2),
-            watchdog: None,
-            faults: EngineFaultPlan {
-                seed: 5,
-                panic_per_mille: 1000,
-                stall_per_mille: 0,
-                stall: Duration::from_millis(0),
-                faulty_attempts: 1,
-            },
-        };
+        let faults = EngineFaultPlan { seed: 5, panic_per_mille: 1000, faulty_attempts: 1 };
         for jobs in [1, 3, 8] {
-            let out = sum_supervised(jobs, &shards, &sup);
+            let out = sum_supervised(&faulty(jobs, 2, faults), &shards);
             assert_eq!(out.value, want, "jobs={jobs}");
             assert!(out.coverage.is_complete(), "jobs={jobs}: {}", out.coverage.table());
             assert_eq!(out.coverage.retried, 64, "jobs={jobs}");
@@ -910,25 +565,15 @@ mod tests {
         let shards = ShardPlan::new(1).over(0..40usize);
         // ~30% of (shard, attempt) draws panic forever: some shards burn
         // the whole budget, and exactly which ones is seed-determined.
-        let sup = Supervisor {
-            retry: RetryPolicy::new(2),
-            watchdog: None,
-            faults: EngineFaultPlan {
-                seed: 42,
-                panic_per_mille: 300,
-                stall_per_mille: 0,
-                stall: Duration::from_millis(0),
-                faulty_attempts: u32::MAX,
-            },
-        };
-        let serial = sum_supervised(1, &shards, &sup);
+        let faults = EngineFaultPlan { seed: 42, panic_per_mille: 300, faulty_attempts: u32::MAX };
+        let serial = sum_supervised(&faulty(1, 2, faults), &shards);
         assert!(!serial.coverage.is_complete(), "seed 42 must fail some shard");
         for f in &serial.coverage.failed {
             assert_eq!(f.attempts, 2);
             assert!(f.message.contains("injected worker panic"), "{}", f.message);
         }
         for jobs in [2, 4, 8] {
-            let par = sum_supervised(jobs, &shards, &sup);
+            let par = sum_supervised(&faulty(jobs, 2, faults), &shards);
             assert_eq!(par.value, serial.value, "jobs={jobs}");
             assert_eq!(par.coverage.failed, serial.coverage.failed, "jobs={jobs}");
             assert_eq!(par.coverage.completed, serial.coverage.completed, "jobs={jobs}");
@@ -945,30 +590,6 @@ mod tests {
     }
 
     #[test]
-    fn watchdog_speculation_beats_stalled_shards() {
-        let shards = ShardPlan::new(9).over(0..8usize);
-        let want = clean_sum(&shards);
-        // Every first attempt stalls half a second; the watchdog fires
-        // after 20ms and the speculative copy runs clean immediately.
-        let sup = Supervisor {
-            retry: RetryPolicy::new(2),
-            watchdog: Some(Watchdog::new(Duration::from_millis(20))),
-            faults: EngineFaultPlan {
-                seed: 8,
-                panic_per_mille: 0,
-                stall_per_mille: 1000,
-                stall: Duration::from_millis(500),
-                faulty_attempts: 1,
-            },
-        };
-        let out = sum_supervised(4, &shards, &sup);
-        assert_eq!(out.value, want);
-        assert!(out.coverage.is_complete(), "{}", out.coverage.table());
-        assert!(out.coverage.speculated >= 1, "watchdog must have speculated");
-        assert_eq!(out.coverage.retried, 0, "stalls are not failures");
-    }
-
-    #[test]
     fn coverage_table_is_explicit_about_failures() {
         let mut cov = Coverage { total: 4, completed: 3, ..Coverage::default() };
         cov.failed.push(ShardFailure { shard_id: 2, attempts: 3, message: "boom".to_string() });
@@ -980,13 +601,7 @@ mod tests {
 
     #[test]
     fn fault_plan_draws_are_pure_and_capped() {
-        let plan = EngineFaultPlan {
-            seed: 17,
-            panic_per_mille: 500,
-            stall_per_mille: 100,
-            stall: Duration::from_millis(5),
-            faulty_attempts: 2,
-        };
+        let plan = EngineFaultPlan { seed: 17, panic_per_mille: 500, faulty_attempts: 2 };
         for shard in 0..32usize {
             for attempt in 0..4u32 {
                 assert_eq!(plan.draw(shard, attempt), plan.draw(shard, attempt));
@@ -997,31 +612,18 @@ mod tests {
     }
 
     #[test]
-    fn fault_spec_parses_and_ignores_garbage() {
-        let plan = parse_fault_spec("panic=40,stall=20,stall_ms=30,seed=7,cap=1,wat=9,junk");
-        assert_eq!(plan.panic_per_mille, 40);
-        assert_eq!(plan.stall_per_mille, 20);
-        assert_eq!(plan.stall, Duration::from_millis(30));
-        assert_eq!(plan.seed, 7);
-        assert_eq!(plan.faulty_attempts, 1);
-        assert!(parse_fault_spec("").is_none());
-    }
-
-    #[test]
     fn run_supervised_marks_failed_shards_as_none() {
         let shards = ShardPlan::new(1).over(0..10usize);
-        let sup = Supervisor {
-            retry: RetryPolicy::NONE,
-            watchdog: None,
-            faults: EngineFaultPlan {
-                seed: 42,
-                panic_per_mille: 300,
-                stall_per_mille: 0,
-                stall: Duration::from_millis(0),
-                faulty_attempts: u32::MAX,
+        let faults = EngineFaultPlan { seed: 42, panic_per_mille: 300, faulty_attempts: u32::MAX };
+        let out = faulty(4, 1, faults).sweep(
+            &shards,
+            |s| s.input * 2,
+            vec![None; shards.len()],
+            |mut acc, slot, v| {
+                acc[slot] = Some(v);
+                acc
             },
-        };
-        let out = Executor::new(4).run_supervised(&shards, |s| s.input * 2, &sup);
+        );
         assert_eq!(out.value.len(), 10);
         let failed: std::collections::BTreeSet<usize> =
             out.coverage.failed.iter().map(|f| f.shard_id).collect();
@@ -1050,7 +652,7 @@ mod tests {
         // First run: journal everything, remember the clean fold.
         let mut ck: Checkpoint<u64> = Checkpoint::fresh(&path, run_id, 1).expect("fresh");
         let first = Executor::new(2)
-            .run_fold_checkpointed(
+            .sweep_checkpointed(
                 &shards,
                 task,
                 Vec::new(),
@@ -1058,7 +660,6 @@ mod tests {
                     acc.push(v);
                     acc
                 },
-                &Supervisor::new(),
                 &mut ck,
             )
             .expect("checkpointed run");
@@ -1070,7 +671,7 @@ mod tests {
         let reran = AtomicUsize::new(0);
         let mut ck: Checkpoint<u64> = Checkpoint::resume(&path, run_id, 1).expect("resume");
         let second = Executor::new(4)
-            .run_fold_checkpointed(
+            .sweep_checkpointed(
                 &shards,
                 |s: &Shard<usize>| {
                     reran.fetch_add(1, Ordering::Relaxed);
@@ -1081,7 +682,6 @@ mod tests {
                     acc.push(v);
                     acc
                 },
-                &Supervisor::new(),
                 &mut ck,
             )
             .expect("resumed run");
@@ -1113,7 +713,7 @@ mod tests {
         let reran = AtomicUsize::new(0);
         let mut ck: Checkpoint<u64> = Checkpoint::resume(&path, run_id, 1).expect("resume");
         let out = Executor::new(3)
-            .run_fold_checkpointed(
+            .sweep_checkpointed(
                 &shards,
                 |s: &Shard<usize>| {
                     reran.fetch_add(1, Ordering::Relaxed);
@@ -1121,7 +721,6 @@ mod tests {
                 },
                 0u64,
                 |acc, _slot, v| acc.wrapping_add(v),
-                &Supervisor::new(),
                 &mut ck,
             )
             .expect("resumed run");
@@ -1134,9 +733,10 @@ mod tests {
 
     #[test]
     fn env_supervisor_has_safe_defaults() {
-        let sup = Supervisor::new();
-        assert_eq!(sup.retry.max_attempts, 3);
-        assert!(sup.watchdog.is_none());
-        assert!(sup.faults.is_none());
+        for exec in [Executor::new(4), Executor::default()] {
+            assert_eq!(exec.retry.max_attempts, 3);
+            assert!(exec.faults.is_none());
+            assert!(!exec.allow_partial);
+        }
     }
 }

@@ -49,6 +49,15 @@ fn bad_instant_fires_wall_clock() {
 }
 
 #[test]
+fn bad_env_fires_env_read() {
+    // The ci.sh canary drops this fixture into crates/engine/src/: a
+    // library crate, where no file is exempt from the env-read rule.
+    let out = scan_fixture("crates/engine/src/bad_env.rs", include_str!("fixtures/bad_env.rs"));
+    assert_eq!(rules_of(&out), vec!["determinism::env-read"]);
+    assert_eq!(out.findings[0].line, 6, "{:?}", out.findings);
+}
+
+#[test]
 fn bad_unwrap_fires_panic_unwrap() {
     let out = scan_fixture("crates/wire/src/bad_unwrap.rs", include_str!("fixtures/bad_unwrap.rs"));
     assert_eq!(rules_of(&out), vec!["panic::unwrap"]);

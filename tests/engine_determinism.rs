@@ -2,10 +2,10 @@
 //!
 //! The engine's contract is that worker threads decide *when* a shard
 //! runs, never *what* it produces: for a fixed seed, every worker count
-//! must yield byte-identical merged captures and byte-identical report
-//! text. These properties drive the fleet through the public API the
-//! `repro` binary uses, so `--jobs 1` vs `--jobs N` byte-identity is
-//! asserted against the same rendering the user sees.
+//! must yield byte-identical results and byte-identical report text.
+//! These properties drive each sweep through the public API the `repro`
+//! binary uses, so `--jobs 1` vs `--jobs N` byte-identity is asserted
+//! against the same rendering the user sees.
 
 use std::collections::HashMap;
 use std::sync::Mutex;
@@ -13,31 +13,11 @@ use std::sync::OnceLock;
 
 use proptest::prelude::*;
 
-use lookaside::byzantine::{byzantine_sweep_with, ByzantineConfig};
-use lookaside::chaos::{chaos_outage_with, ChaosConfig};
-use lookaside::engine::{expect_all, Executor, ShardPlan};
-use lookaside::experiments::{fig8_9_with, QuerySet, RunConfig};
-use lookaside::netsim::{Capture, Packet};
-use lookaside::parallel::{run_sharded, Worker};
+use lookaside::byzantine::{byzantine_sweep, ByzantineConfig};
+use lookaside::chaos::{chaos_outage, ChaosConfig};
+use lookaside::engine::Executor;
+use lookaside::experiments::{deployment_sweep, fig8_9, vantage_sweep};
 use lookaside::report::fig8_9_table;
-
-/// Runs `config` as a `shards`-box fleet on `exec` and returns the merged
-/// capture's packets — the raw quantity whose ordering the engine must
-/// keep stable across worker counts.
-fn merged_packets(config: &RunConfig, shards: usize, exec: &Executor) -> Vec<Packet> {
-    let n = match &config.queries {
-        QuerySet::Top(n) => *n,
-        other => panic!("fleet test needs a rank sweep, got {other:?}"),
-    };
-    let plan = ShardPlan::new(config.seed).split_range(1..n + 1, shards);
-    let outcomes =
-        expect_all(exec.run(&plan, |shard| Worker::replica(config).run_ranks(shard.input.clone())));
-    let mut capture = Capture::default();
-    for outcome in &outcomes {
-        capture.merge(&outcome.capture);
-    }
-    capture.packets().to_vec()
-}
 
 /// Memoised serial references so each proptest case pays for one parallel
 /// run, not a parallel *and* a serial one.
@@ -56,25 +36,9 @@ where
     v
 }
 
-static CAPTURE_REFS: OnceLock<Mutex<HashMap<usize, Vec<Packet>>>> = OnceLock::new();
 static FIG9_REFS: OnceLock<Mutex<HashMap<usize, String>>> = OnceLock::new();
 
 proptest! {
-    /// Any shard count × any worker count: the merged capture is
-    /// byte-identical to the serial execution of the same shard plan.
-    #[test]
-    fn merged_captures_are_worker_count_invariant(
-        shards in 1usize..9,
-        jobs in 1usize..9,
-    ) {
-        let config = RunConfig::quick(16);
-        let reference = cached(&CAPTURE_REFS, shards, || {
-            merged_packets(&config, shards, &Executor::serial())
-        });
-        let parallel = merged_packets(&config, shards, &Executor::new(jobs));
-        prop_assert_eq!(parallel, reference);
-    }
-
     /// The `repro fig9` table text is byte-identical for every worker
     /// count, at every sweep width (each size is one shard).
     #[test]
@@ -84,27 +48,10 @@ proptest! {
     ) {
         let sizes: Vec<usize> = (1..=widths).map(|i| 20 * i).collect();
         let reference = cached(&FIG9_REFS, widths, || {
-            fig8_9_table(&fig8_9_with(&Executor::serial(), &sizes, 11))
+            fig8_9_table(&fig8_9(&Executor::serial(), &sizes, 11))
         });
-        let parallel = fig8_9_table(&fig8_9_with(&Executor::new(jobs), &sizes, 11));
+        let parallel = fig8_9_table(&fig8_9(&Executor::new(jobs), &sizes, 11));
         prop_assert_eq!(parallel, reference);
-    }
-}
-
-/// The fleet reduction itself (counters, leakage, statuses) is jobs-
-/// invariant through the public [`run_sharded`] entry point.
-#[test]
-fn run_sharded_outcome_is_worker_count_invariant() {
-    let config = RunConfig::quick(21);
-    let reference = run_sharded(&config, 5, &Executor::serial());
-    for jobs in [2, 3, 8] {
-        let parallel = run_sharded(&config, 5, &Executor::new(jobs));
-        assert_eq!(parallel.stats, reference.stats, "jobs={jobs}");
-        assert_eq!(parallel.leakage, reference.leakage, "jobs={jobs}");
-        assert_eq!(parallel.counters, reference.counters, "jobs={jobs}");
-        assert_eq!(parallel.statuses, reference.statuses, "jobs={jobs}");
-        assert_eq!(parallel.elapsed_ns, reference.elapsed_ns, "jobs={jobs}");
-        assert_eq!(parallel.queried, reference.queried, "jobs={jobs}");
     }
 }
 
@@ -113,9 +60,9 @@ fn run_sharded_outcome_is_worker_count_invariant() {
 #[test]
 fn chaos_grid_is_worker_count_invariant() {
     let config = ChaosConfig::quick(10);
-    let reference = format!("{:?}", chaos_outage_with(&Executor::serial(), &config));
+    let reference = format!("{:?}", chaos_outage(&Executor::serial(), &config));
     for jobs in [2, 4] {
-        let parallel = format!("{:?}", chaos_outage_with(&Executor::new(jobs), &config));
+        let parallel = format!("{:?}", chaos_outage(&Executor::new(jobs), &config));
         assert_eq!(parallel, reference, "jobs={jobs}");
     }
 }
@@ -127,9 +74,32 @@ fn chaos_grid_is_worker_count_invariant() {
 #[test]
 fn byzantine_sweep_is_worker_count_invariant() {
     let config = ByzantineConfig::quick(6);
-    let reference = format!("{:?}", byzantine_sweep_with(&Executor::serial(), &config));
+    let reference = format!("{:?}", byzantine_sweep(&Executor::serial(), &config));
     for jobs in [2, 4] {
-        let parallel = format!("{:?}", byzantine_sweep_with(&Executor::new(jobs), &config));
+        let parallel = format!("{:?}", byzantine_sweep(&Executor::new(jobs), &config));
+        assert_eq!(parallel, reference, "jobs={jobs}");
+    }
+}
+
+/// The §7.1 vantage sweep (one shard per vantage) reduces to the same
+/// rows, in vantage order, for every worker count.
+#[test]
+fn vantage_sweep_is_worker_count_invariant() {
+    let reference = format!("{:?}", vantage_sweep(&Executor::serial(), 40, 43));
+    for jobs in [2, 4] {
+        let parallel = format!("{:?}", vantage_sweep(&Executor::new(jobs), 40, 43));
+        assert_eq!(parallel, reference, "jobs={jobs}");
+    }
+}
+
+/// The §7.1 deployment sweep (one shard per deposit density) reduces to
+/// the same points, in density order, for every worker count.
+#[test]
+fn deployment_sweep_is_worker_count_invariant() {
+    let densities = [0, 300, 1000];
+    let reference = format!("{:?}", deployment_sweep(&Executor::serial(), 60, &densities, 39));
+    for jobs in [2, 4] {
+        let parallel = format!("{:?}", deployment_sweep(&Executor::new(jobs), 60, &densities, 39));
         assert_eq!(parallel, reference, "jobs={jobs}");
     }
 }
