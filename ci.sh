@@ -20,8 +20,9 @@ cargo test -q
 
 # `redundant_clone` is denied on top of the default set: the PR-3 memory
 # model makes clones cheap but the hot path is supposed to not need them
-# at all.
-cargo clippy --workspace -- -D warnings -D clippy::redundant_clone
+# at all. `--all-targets` lints the tests, examples and every bench too,
+# not only the two benches the gates below happen to build.
+cargo clippy --workspace --all-targets -- -D warnings -D clippy::redundant_clone
 cargo fmt --check
 
 # Allocation-regression gate: the alloc_sweep bench counts every heap

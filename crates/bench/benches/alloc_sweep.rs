@@ -14,9 +14,9 @@
 //! with this same harness.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::hint::black_box;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use criterion::black_box;
 use lookaside::engine::Executor;
 use lookaside::experiments::fig8_9;
 
@@ -46,8 +46,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// Same sweep shape as the `parallel_sweep` bench: four population sizes,
-/// one cold-cache run each.
+/// Four population sizes, one cold-cache run each.
 const SWEEP_SIZES: [usize; 4] = [50, 100, 150, 200];
 const SEED: u64 = 11;
 

@@ -25,11 +25,11 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::RefCell;
+use std::hint::black_box;
 use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-use criterion::black_box;
 use lookaside::engine::Executor;
 use lookaside::internet::{Internet, InternetParams};
 use lookaside::netsim::CaptureFilter;

@@ -5,7 +5,7 @@
 //! ```text
 //! # my-experiment.lab
 //! population = 5000
-//! queries    = top:200          # top:N | shuffled:N:SEED | huque | ranks:1,5,9
+//! queries    = top:200          # top:N | shuffled:N[:SEED] | huque | ranks:1,5,9
 //! install    = yum              # apt-get | apt-get2 | manual | unbound
 //! remedy     = none             # txt | zbit | hashed
 //! denial     = nsec             # nsec3
@@ -48,39 +48,42 @@ fn err(line: usize, message: impl Into<String>) -> LabConfigError {
     LabConfigError { line, message: message.into() }
 }
 
+/// The accepted `queries` forms, quoted in the error for a malformed one.
+const QUERY_FORMS: &str = "top:N | shuffled:N[:SEED] | huque | ranks:R1,R2,...";
+
 fn parse_queries(value: &str, line: usize) -> Result<QuerySet, LabConfigError> {
     let mut parts = value.split(':');
-    match parts.next() {
-        Some("top") => {
-            let n = parts
-                .next()
-                .and_then(|v| v.parse().ok())
-                .ok_or_else(|| err(line, "top needs a count, e.g. top:100"))?;
+    let kind = parts.next().unwrap_or_default();
+    let args: Vec<&str> = parts.collect();
+    match (kind, args.as_slice()) {
+        ("top", [n]) => {
+            let n = n.parse().map_err(|_| err(line, "top needs a count, e.g. top:100"))?;
             Ok(QuerySet::Top(n))
         }
-        Some("shuffled") => {
-            let n = parts
-                .next()
-                .and_then(|v| v.parse().ok())
-                .ok_or_else(|| err(line, "shuffled needs a count, e.g. shuffled:100:7"))?;
-            let seed = parts.next().and_then(|v| v.parse().ok()).unwrap_or(1);
+        ("shuffled", [n, seed @ ..]) if seed.len() <= 1 => {
+            let n =
+                n.parse().map_err(|_| err(line, "shuffled needs a count, e.g. shuffled:100:7"))?;
+            let seed = match seed {
+                [seed] => {
+                    seed.parse().map_err(|_| err(line, "shuffled seed must be an integer"))?
+                }
+                _ => 1,
+            };
             Ok(QuerySet::Shuffled { n, seed })
         }
-        Some("huque") => Ok(QuerySet::Huque),
-        Some("ranks") => {
-            let ranks: Result<Vec<usize>, _> = parts
-                .next()
-                .ok_or_else(|| err(line, "ranks needs a list, e.g. ranks:1,5,9"))?
-                .split(',')
-                .map(|v| v.trim().parse())
-                .collect();
+        ("huque", []) => Ok(QuerySet::Huque),
+        ("ranks", [list]) => {
+            let ranks: Result<Vec<usize>, _> = list.split(',').map(|v| v.trim().parse()).collect();
             let ranks = ranks.map_err(|_| err(line, "ranks must be integers"))?;
             if ranks.is_empty() || ranks.contains(&0) {
                 return Err(err(line, "ranks must be 1-based and non-empty"));
             }
             Ok(QuerySet::Ranks(ranks))
         }
-        other => Err(err(line, format!("unknown query set {other:?}"))),
+        ("top" | "shuffled" | "huque" | "ranks", _) => {
+            Err(err(line, format!("malformed query set {value:?}, expected {QUERY_FORMS}")))
+        }
+        (other, _) => Err(err(line, format!("unknown query set {other:?}"))),
     }
 }
 
@@ -223,6 +226,21 @@ mod tests {
         assert!(e.message.contains("unknown remedy"));
         let e = parse_lab_config("queries = top:\n").unwrap_err();
         assert!(e.message.contains("top needs a count"));
+        // Trailing fields and an unparsable shuffle seed are rejected, not
+        // dropped or defaulted.
+        for (queries, message) in [
+            ("top:5:junk", "malformed query set"),
+            ("huque:x", "malformed query set"),
+            ("ranks:1,2:3", "malformed query set"),
+            ("shuffled:100:7:junk", "malformed query set"),
+            ("shuffled:100:x", "shuffled seed must be an integer"),
+        ] {
+            let e = parse_lab_config(&format!("seed = 3\nqueries = {queries}\n")).unwrap_err();
+            assert_eq!(e.line, 2, "{queries}");
+            assert!(e.message.contains(message), "{queries}: {}", e.message);
+        }
+        let missing_seed = parse_lab_config("queries = shuffled:100\n").unwrap().queries;
+        assert_eq!(missing_seed, QuerySet::Shuffled { n: 100, seed: 1 });
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! Benchmark and reproduction support for the DLV privacy study.
 //!
-//! The interesting entry points are the Criterion benches under `benches/`
-//! and the `repro` binary (`cargo run --release -p lookaside-bench --bin
-//! repro -- all`), which regenerates every table and figure of the paper.
+//! The interesting entry point is the `repro` binary (`cargo run --release
+//! -p lookaside-bench --bin repro -- all`), which regenerates every table
+//! and figure of the paper. `benches/` holds the two CI gate benches
+//! (`alloc_sweep`, `stream_sweep`) and the §6.2.4 `dictionary` cost bench.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -7,13 +7,12 @@ use lookaside_crypto::hashed_dlv_label;
 use lookaside_netsim::Direction;
 use lookaside_wire::ext::RemedyMode;
 use lookaside_wire::{Message, Name, RData};
-use serde::Serialize;
 
 use crate::experiments::{run, RunConfig, RunOutcome};
 
 /// Outcome of a man-in-the-middle attack on a remedy signal: leakage with
 /// the remedy in place, and leakage once the attacker rewrites the signal.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct SignalAttackOutcome {
     /// Case-2 leaks with the remedy active and unattacked.
     pub leaks_with_remedy: usize,
@@ -101,7 +100,7 @@ fn run_with_tamper(
 }
 
 /// §6.2.4 dictionary attack on hashed DLV.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct DictionaryOutcome {
     /// Hashed labels observed at the registry.
     pub observed: usize,

@@ -34,12 +34,11 @@ use lookaside_server::DecommissionStage;
 use lookaside_wire::ext::RemedyMode;
 use lookaside_wire::{Rcode, RrType};
 use lookaside_workload::PopulationParams;
-use serde::Serialize;
 
 use crate::internet::{Internet, InternetParams, DLV_ADDR};
 
 /// One adversary model applied to the DLV path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Adversary {
     /// Healthy populated registry, look-aside enabled — the reference.
     Baseline,
@@ -82,7 +81,7 @@ impl Adversary {
 }
 
 /// Resolver hardening profile under test.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum HardeningProfile {
     /// All defences off ([`Hardening::off`]) — the paper's subjects.
     Off,
@@ -152,7 +151,7 @@ impl ByzantineConfig {
 }
 
 /// One cell of the sweep: an adversary crossed with a hardening profile.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct ByzantinePoint {
     /// Adversary in force.
     pub adversary: Adversary,

@@ -35,12 +35,11 @@ use lookaside_resolver::{BindConfig, FeatureModel, ResolverConfig, RetryPolicy};
 use lookaside_wire::ext::RemedyMode;
 use lookaside_wire::RrType;
 use lookaside_workload::PopulationParams;
-use serde::Serialize;
 
 use crate::internet::{Internet, InternetParams, DLV_ADDR};
 
 /// One fault level applied to the resolver ↔ DLV-registry link.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Outage {
     /// Per-leg packet loss, in thousandths (both legs drawn independently).
     Loss(u16),
@@ -75,7 +74,7 @@ impl Outage {
 }
 
 /// Resolver timer configuration under test.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TimerProfile {
     /// One transmission per server, no retransmission.
     NoRetry,
@@ -148,7 +147,7 @@ impl ChaosConfig {
 
 /// One cell of the chaos sweep: a fault level crossed with a timer
 /// profile.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct ChaosPoint {
     /// Fault level applied to the registry link.
     pub outage: Outage,

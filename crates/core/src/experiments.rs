@@ -15,7 +15,6 @@ use lookaside_resolver::{
 use lookaside_wire::ext::RemedyMode;
 use lookaside_wire::{Name, RrType};
 use lookaside_workload::{PopulationParams, Zipf};
-use serde::Serialize;
 
 use crate::internet::{Internet, InternetParams};
 use crate::leakage::{classify, LeakageReport};
@@ -132,7 +131,7 @@ impl RunConfig {
 }
 
 /// Validation-status tallies over a run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StatusTally {
     /// Resolutions ending Secure.
     pub secure: usize,
@@ -236,7 +235,7 @@ pub(crate) fn tally(statuses: &mut StatusTally, result: &Result<Resolution, Reso
 
 /// Table 3: does the secured (huque45) corpus leak to DLV under each
 /// install method?
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Table3Row {
     /// Install method label (`apt-get`, `apt-get†`, `yum`, `manual`).
     pub method: String,
@@ -288,7 +287,7 @@ fn internet_case1_contains(outcome: &RunOutcome, _name: &Name) -> bool {
 }
 
 /// One row of Table 4: query counts by type.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct Table4Row {
     /// Dataset size.
     pub n: usize,
@@ -337,7 +336,7 @@ pub fn table4(sizes: &[usize], seed: u64) -> Vec<Table4Row> {
 }
 
 /// One row of Table 5 / Fig. 10: TXT-remedy overhead on one dataset size.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct Table5Row {
     /// Dataset size.
     pub n: usize,
@@ -412,7 +411,7 @@ pub fn table5(sizes: &[usize], seed: u64) -> Vec<Table5Row> {
 // ---------------------------------------------------------------------------
 
 /// One point of Figs. 8–9.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct LeakPoint {
     /// Number of domains queried.
     pub n: usize,
@@ -492,7 +491,7 @@ pub fn utility(n: usize, seed: u64) -> LeakageReport {
 }
 
 /// One bar group of Fig. 11: totals per remedy.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Fig11Row {
     /// Remedy label.
     pub remedy: String,
@@ -528,7 +527,7 @@ pub fn fig11(n: usize, seed: u64) -> Vec<Fig11Row> {
 
 /// Per-TLD leakage (mechanism slice: a broken link at the TLD dooms every
 /// child).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct TldBreakdownRow {
     /// TLD label.
     pub tld: &'static str,
@@ -594,7 +593,7 @@ pub fn tld_breakdown(n: usize, seed: u64) -> Vec<TldBreakdownRow> {
 }
 
 /// One vantage point's results (§7.1 "Experiment Generality").
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct VantageRow {
     /// Vantage label.
     pub vantage: String,
@@ -639,7 +638,7 @@ pub fn vantage_sweep(exec: &Executor, n: usize, seed: u64) -> Vec<VantageRow> {
 }
 
 /// One side of the §7.3 NSEC-vs-NSEC3 trade-off.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Nsec3TradeoffRow {
     /// Denial mechanism label.
     pub denial: String,
@@ -675,7 +674,7 @@ pub fn nsec3_tradeoff(n: usize, seed: u64) -> Vec<Nsec3TradeoffRow> {
 
 /// Per-party name exposure with and without QNAME minimisation (an RFC
 /// 7816 extension of the §3 threat model).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct ExposureRow {
     /// Whether minimisation was on.
     pub minimized: bool,
@@ -747,7 +746,7 @@ pub fn qmin_exposure(n: usize, seed: u64) -> Vec<ExposureRow> {
 
 /// One point of the §7.1 deployment sweep: leakage as a function of how
 /// many zones actually deposit DLV records.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct DeploymentPoint {
     /// Per-mille of islands that deposited a record.
     pub deposited_given_island_milli: u16,
@@ -787,7 +786,7 @@ pub fn deployment_sweep(
 
 /// Results of replaying a repeat-heavy query trace through the *real*
 /// resolver — the cross-check for Fig. 12's analytic cache model.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct TraceReplayRow {
     /// Remedy in force.
     pub remedy: String,
@@ -850,7 +849,7 @@ pub fn trace_replay(draws: usize, support: usize, seed: u64) -> Vec<TraceReplayR
 }
 
 /// Fig. 12 data: the DITL trace and the modelled TXT-signaling overhead.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Fig12Data {
     /// Queries per minute (Fig. 12a).
     pub per_minute: Vec<u64>,

@@ -50,7 +50,6 @@ use lookaside_engine::{Executor, Shard, ShardPlan};
 use lookaside_population::{PlaneParams, StubPlane};
 use lookaside_server::DLV_SPAN_TTL;
 use lookaside_workload::{DitlTrace, DomainPopulation, PopulationParams, Zipf, DITL_MINUTES};
-use serde::Serialize;
 
 fn mix(a: u64, b: u64) -> u64 {
     let mut x = a ^ b.wrapping_mul(0x9e37_79b9_7f4a_7c15);
@@ -65,7 +64,7 @@ const SALT_DITL_CLIENT: u64 = 0x6463_6c69;
 const SALT_DITL_RANK: u64 = 0x6472_616e;
 
 /// How the farm's caches and trust boundaries are arranged.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FarmTopology {
     /// Anycast assignment, one cache per resolver instance.
     PerResolver,
@@ -102,7 +101,7 @@ impl FarmTopology {
 }
 
 /// Parameters of a farm experiment.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct FarmConfig {
     /// The stub-client plane.
     pub plane: PlaneParams,
@@ -161,7 +160,7 @@ impl FarmConfig {
 }
 
 /// What the registry (and everyone else) sees under one topology.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TopologyReport {
     /// The topology measured.
     pub topology: FarmTopology,

@@ -11,10 +11,9 @@ use std::collections::BTreeSet;
 
 use lookaside_netsim::{Capture, Direction};
 use lookaside_wire::{Name, Rcode};
-use serde::Serialize;
 
 /// Classification of one run's DLV traffic.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct LeakageReport {
     /// DLV queries observed on the wire.
     pub dlv_queries: usize,

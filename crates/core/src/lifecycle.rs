@@ -52,7 +52,6 @@ use lookaside_wire::ext::RemedyMode;
 use lookaside_wire::RrType;
 use lookaside_workload::PopulationParams;
 use lookaside_zone::{KeyTimeline, LifecycleFault, LifecycleTarget, RolloverPolicy};
-use serde::Serialize;
 
 use crate::internet::{Internet, InternetParams, ROOT_KEY_SEED};
 use crate::leakage;
@@ -70,7 +69,7 @@ pub const EVENT_TIMES: [u64; 8] = [123, 2_123, 4_123, 6_123, 8_123, 10_123, 12_1
 pub const HORIZON_SECS: u32 = 16_000;
 
 /// One scripted key-lifecycle scenario applied to the root zone.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LifecycleScenario {
     /// Correct periodic re-signing, no rollover — the control.
     Steady,
@@ -227,7 +226,7 @@ impl LifecycleConfig {
 }
 
 /// Validation-outcome and leakage deltas for one measurement event.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct LifecycleEventPoint {
     /// Simulated time of the event (seconds).
     pub at_secs: u64,
@@ -257,7 +256,7 @@ pub struct LifecycleEventPoint {
 }
 
 /// One scenario's full event series.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct LifecyclePoint {
     /// Scenario replayed.
     pub scenario: LifecycleScenario,

@@ -2,7 +2,6 @@
 //! RFC 4034 Appendix B key tags.
 
 use lookaside_wire::RData;
-use serde::{Deserialize, Serialize};
 
 use crate::schnorr::{self, Signature, PUBLIC_KEY_LEN};
 
@@ -23,7 +22,7 @@ pub const FLAG_SEP: u16 = 0x0001;
 pub const FLAG_REVOKE: u16 = 0x0080;
 
 /// Whether a key signs record sets (ZSK) or other keys (KSK).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum KeyRole {
     /// Zone-signing key: signs the zone's RRsets.
     Zsk,
@@ -44,7 +43,7 @@ impl KeyRole {
 
 /// The public half of a key, as distributed in DNSKEY records and trust
 /// anchors.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PublicKey {
     y: u64,
     role: KeyRole,
@@ -137,7 +136,7 @@ pub fn key_tag_over(rdata: &[u8]) -> u16 {
 }
 
 /// A full signing key pair.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct KeyPair {
     x: u64,
     public: PublicKey,

@@ -9,10 +9,9 @@
 use std::net::Ipv4Addr;
 
 use lookaside_wire::{Name, NameTable, Rcode, RrType};
-use serde::{Deserialize, Serialize};
 
 /// Direction of a captured packet relative to the resolver.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Direction {
     /// Resolver → server.
     Query,
@@ -21,7 +20,7 @@ pub enum Direction {
 }
 
 /// One captured packet.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Packet {
     /// Simulated capture time, nanoseconds.
     pub time_ns: u64,
@@ -44,7 +43,7 @@ pub struct Packet {
 /// What the capture retains. Full captures of million-domain runs would
 /// dominate memory, so experiments that only analyse DLV traffic restrict
 /// the filter.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CaptureFilter {
     /// Keep every packet.
     All,
@@ -78,7 +77,7 @@ impl CaptureFilter {
 /// qname share one name allocation instead of one per packet. The table is
 /// per-capture (= per shard in parallel runs), never global, so shards
 /// share no state and merge order alone decides the combined log.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Capture {
     filter: CaptureFilter,
     packets: Vec<Packet>,

@@ -16,10 +16,8 @@
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 
-use serde::{Deserialize, Serialize};
-
 /// Fault configuration for one link (resolver ↔ one destination address).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LinkFaults {
     /// Probability, in thousandths, that the query leg is lost.
     /// The response leg is drawn independently at the same rate.
@@ -144,7 +142,7 @@ pub struct FaultPlan {
 /// Links not explicitly configured use the default faults (quiet unless
 /// changed), so a single call can degrade a whole topology or just one
 /// registry address.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FaultPlane {
     seed: u64,
     default_faults: LinkFaults,
@@ -153,7 +151,6 @@ pub struct FaultPlane {
     /// exchanges to it use these faults instead of the UDP ones. Links
     /// without an entry share the UDP faults (a blackholed host is
     /// unreachable on both transports).
-    #[serde(default)]
     tcp_links: BTreeMap<Ipv4Addr, LinkFaults>,
 }
 

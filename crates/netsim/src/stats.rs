@@ -14,10 +14,9 @@
 use std::collections::BTreeMap;
 
 use lookaside_wire::{Rcode, RrType};
-use serde::{Deserialize, Serialize};
 
 /// Running totals over every exchange a [`crate::Network`] carried.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TrafficStats {
     /// Queries issued, by question type.
     pub queries_by_type: BTreeMap<RrType, u64>,
@@ -39,18 +38,14 @@ pub struct TrafficStats {
     pub duplicates: u64,
     /// Responses that arrived but failed to decode (Byzantine bit-flip
     /// corruption that broke the wire format).
-    #[serde(default)]
     pub malformed_responses: u64,
     /// Off-path spoofed responses injected ahead of the genuine answer.
-    #[serde(default)]
     pub spoofed_responses: u64,
     /// Responses forcibly truncated in flight by the fault plane.
-    #[serde(default)]
     pub forced_truncations: u64,
     /// Client answers served from expired cache entries (RFC 8767
     /// serve-stale), noted by the resolver via
     /// [`crate::Network::note_stale_serve`].
-    #[serde(default)]
     pub stale_serves: u64,
 }
 

@@ -3,7 +3,6 @@
 use std::collections::BTreeSet;
 
 use lookaside_workload::Zipf;
-use serde::{Deserialize, Serialize};
 
 /// splitmix64-style mixing, identical in spirit to the population model's
 /// attribute derivation: every client attribute is `mix(seed ^ salt, key)`
@@ -26,7 +25,7 @@ const SALT_FRESH: u64 = 0x6672_6573;
 const SALT_COHORT: u64 = 0x636f_686f;
 
 /// Parameters of a stub-client plane.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PlaneParams {
     /// Number of stub clients (client ids are `0..clients`).
     pub clients: usize,
@@ -72,7 +71,7 @@ impl Default for PlaneParams {
 }
 
 /// One stub query: the client asked for domain `rank` at `time_secs`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct QueryEvent {
     /// Seconds since the window opened.
     pub time_secs: u32,

@@ -6,10 +6,8 @@
 //! actually included, and what the resolver therefore does. This module
 //! encodes those semantics as data so the experiments can sweep them.
 
-use serde::{Deserialize, Serialize};
-
 /// `dnssec-validation` in BIND (§2.4 of the paper).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DnssecValidation {
     /// `yes`: validate, but the trust anchor must be configured manually.
     Yes,
@@ -20,7 +18,7 @@ pub enum DnssecValidation {
 }
 
 /// `dnssec-lookaside` in BIND.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Lookaside {
     /// `auto`: DLV enabled with the built-in DLV trust anchor.
     Auto,
@@ -29,7 +27,7 @@ pub enum Lookaside {
 }
 
 /// A BIND-style configuration (named.conf options + key files).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BindConfig {
     /// `dnssec-enable`.
     pub dnssec_enable: bool,
@@ -62,7 +60,7 @@ impl BindConfig {
 /// An Unbound-style configuration: options exist only as trust-anchor file
 /// inclusions, which is why the paper notes Unbound cannot reach the
 /// "validation on, anchor missing" state (§4.4).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct UnboundConfig {
     /// `auto-trust-anchor-file` (root key) configured.
     pub auto_trust_anchor: bool,
@@ -71,7 +69,7 @@ pub struct UnboundConfig {
 }
 
 /// A resolver configuration of either software family.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ResolverConfig {
     /// BIND (`named.conf`).
     Bind(BindConfig),
@@ -80,7 +78,7 @@ pub enum ResolverConfig {
 }
 
 /// What the configuration makes the resolver actually do.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EffectiveBehavior {
     /// DNSSEC validation is attempted.
     pub validate: bool,
@@ -142,7 +140,7 @@ impl EffectiveBehavior {
 /// let behavior = EffectiveBehavior::from_config(&ResolverConfig::Bind(config));
 /// assert!(behavior.validate && !behavior.has_root_anchor);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum InstallMethod {
     /// Debian/Ubuntu `apt-get` defaults (`dnssec-validation auto`), with the
     /// user enabling DLV for the study.
@@ -222,7 +220,7 @@ impl InstallMethod {
 }
 
 /// Resolver software family.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Software {
     /// ISC BIND.
     Bind,
@@ -232,7 +230,7 @@ pub enum Software {
 
 /// One row of the paper's Table 1: an OS, an install channel, and the
 /// resolver versions it produced.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Environment {
     /// Operating system name, e.g. `CentOS 6.7`.
     pub os: &'static str,
@@ -282,7 +280,7 @@ pub fn environments() -> Vec<Environment> {
 /// Behavioural knobs that shape ambient query traffic — the mechanisms
 /// behind Table 4's per-type query counts. All rates are deterministic
 /// (keyed hashes), so runs are reproducible.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FeatureModel {
     /// Issue AAAA (besides A) when resolving name-server host addresses.
     pub ns_host_aaaa: bool,

@@ -13,13 +13,12 @@ use lookaside_netsim::Network;
 use lookaside_wire::ext::{parse_txt_signal, RemedyMode};
 use lookaside_wire::{Name, RData, Rcode, Record, RrSet, RrType};
 use lookaside_zone::{rrsig_signing_input, serial_window_contains};
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 use crate::resolver::{DsInfo, IterOutcome, RecursiveResolver, ResolveError, SharedRrSet};
 
 /// DNSSEC validation status (RFC 4033 §5; paper §2.2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SecurityStatus {
     /// A chain of signed DNSKEY/DS records reaches a trust anchor.
     Secure,

@@ -4,7 +4,6 @@ use lookaside_crypto::{dlv_rdata, hashed_dlv_label, PublicKey};
 use lookaside_netsim::{DnsHandler, ServerAction};
 use lookaside_wire::{Message, MessageBuilder, Name, RData, Rcode};
 use lookaside_zone::{DenialMode, PublishedZone, SigningKeys, Zone, DEFAULT_TTL};
-use serde::{Deserialize, Serialize};
 
 use crate::authority::AuthoritativeServer;
 
@@ -28,9 +27,7 @@ pub const DLV_SPAN_TTL: u32 = 7 * 24 * 3600;
 /// was actually wound down (announced 2015, records deleted 2017, zone
 /// finally gone): each stage is a different *kind* of wrong answer, and
 /// RFC 5074 §4 requires resolvers to degrade differently for each.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub enum DecommissionStage {
     /// Normal operation: deposits answered, absences denied with signed
     /// NSEC/NSEC3.

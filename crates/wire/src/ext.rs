@@ -17,15 +17,13 @@
 //! This module defines the mode switch and the TXT payload grammar; the
 //! behavioural halves live in `lookaside-server` and `lookaside-resolver`.
 
-use serde::{Deserialize, Serialize};
-
 /// TXT payload advertising a deposited DLV record.
 pub const TXT_SIGNAL_PRESENT: &str = "dlv=1";
 /// TXT payload advertising that no DLV record is deposited.
 pub const TXT_SIGNAL_ABSENT: &str = "dlv=0";
 
 /// Which of the paper's §6.2 remedies is active in an experiment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum RemedyMode {
     /// Standard DLV behaviour: no signaling, the resolver may leak (the
     /// paper's measured baseline).

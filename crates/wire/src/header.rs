@@ -1,11 +1,9 @@
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::WireError;
 
 /// DNS message opcodes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Opcode {
     /// Standard query (0).
     #[default]
@@ -38,9 +36,7 @@ impl Opcode {
 /// validated by DLV records deposited in the DLV server") or `NxDomain`
 /// ("No such name"), which is exactly how §5.3 of the paper classifies
 /// validation utility versus leakage.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub enum Rcode {
     /// No error (0).
     #[default]
@@ -111,7 +107,7 @@ impl fmt::Display for Rcode {
 /// * `z` — the single remaining reserved bit. §6.2.1 of the paper proposes
 ///   using it ("Using Z Bit") in responses to signal that the zone has a DLV
 ///   record deposited, so the resolver knows whether a DLV query is useful.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct Flags {
     /// Query (false) or response (true).
     pub qr: bool,
@@ -186,7 +182,7 @@ impl Flags {
 }
 
 /// A DNS message header (RFC 1035 §4.1.1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Header {
     /// Transaction identifier.
     pub id: u16,

@@ -1,12 +1,10 @@
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::codec::{Reader, Writer};
 use crate::{Flags, Header, Name, Rcode, Record, RrClass, RrType, WireError};
 
 /// The question section entry of a query.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Question {
     /// Queried name.
     pub name: Name,
@@ -17,7 +15,7 @@ pub struct Question {
 }
 
 /// Identifies one of the three record sections of a message.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Section {
     /// Answer section.
     Answer,
@@ -33,7 +31,7 @@ pub enum Section {
 /// a security-aware resolver signals DNSSEC capability (§2.2 of the paper);
 /// `padding` models the RFC 7830 EDNS padding option discussed under related
 /// work for hiding query sizes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Edns {
     /// Advertised UDP payload size.
     pub udp_size: u16,
@@ -69,7 +67,7 @@ impl Edns {
 /// assert!(response.is_nxdomain());
 /// # Ok::<(), lookaside_wire::WireError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Message {
     /// Header (counts are recomputed on encode).
     pub header: Header,

@@ -19,8 +19,6 @@ use std::fmt;
 use std::str::FromStr;
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
 use crate::WireError;
 
 /// Maximum octets in a single label (RFC 1035 §2.3.4).
@@ -53,7 +51,7 @@ fn fmt_label_bytes(f: &mut fmt::Formatter<'_>, bytes: &[u8]) -> fmt::Result {
 /// (RFC 1035 §2.3.3, RFC 4343) and the study never depends on preserved case,
 /// so normalising at construction keeps `Eq`/`Ord`/`Hash` cheap and
 /// consistent. Hot paths use the borrowed [`LabelRef`] instead.
-#[derive(Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Hash)]
 pub struct Label(Box<[u8]>);
 
 impl Label {
@@ -181,7 +179,7 @@ enum Repr {
 /// assert!(n.is_subdomain_of(&Name::parse("com.")?));
 /// # Ok::<(), lookaside_wire::WireError>(())
 /// ```
-#[derive(Clone, Serialize, Deserialize)]
+#[derive(Clone)]
 pub struct Name {
     repr: Repr,
 }

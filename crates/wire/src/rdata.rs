@@ -3,13 +3,11 @@
 use std::fmt;
 use std::net::{Ipv4Addr, Ipv6Addr};
 
-use serde::{Deserialize, Serialize};
-
 use crate::codec::{Reader, Writer};
 use crate::{Name, RrType, TypeBitmap, WireError};
 
 /// SOA record data (RFC 1035 §3.3.13).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct SoaData {
     /// Primary name server.
     pub mname: Name,
@@ -32,7 +30,7 @@ pub struct SoaData {
 ///
 /// `Ds` and `Dlv` share the same layout (RFC 4431 defines DLV RDATA as
 /// identical to DS), which is why both carry the same fields.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 pub enum RData {
     /// IPv4 address.

@@ -1,12 +1,10 @@
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::codec::{Reader, Writer};
 use crate::{Name, RData, RrClass, RrType, WireError};
 
 /// A single resource record.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Record {
     /// Owner name.
     pub name: Name,
@@ -92,7 +90,7 @@ impl fmt::Display for Record {
 /// assert_eq!(set.to_records().len(), 2);
 /// # Ok::<(), lookaside_wire::WireError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RrSet {
     /// Owner name.
     pub name: Name,

@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::WireError;
 
 /// DNS resource-record types used by the study.
@@ -12,7 +10,7 @@ use crate::WireError;
 /// (RFC 4431), which is how the paper's packet captures filter DLV traffic
 /// ("All DLV queries are extracted from the network traffic by filtering the
 /// query type", §5.1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 #[non_exhaustive]
 pub enum RrType {
     /// IPv4 address (1).
@@ -132,7 +130,7 @@ impl fmt::Display for RrType {
 }
 
 /// DNS classes. The study uses `IN` exclusively.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RrClass {
     /// The Internet class (1).
     In,
@@ -185,7 +183,7 @@ impl fmt::Display for RrClass {
 /// assert_eq!(TypeBitmap::decode(&wire)?, types);
 /// # Ok::<(), lookaside_wire::WireError>(())
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
 pub struct TypeBitmap {
     types: Vec<u16>, // sorted, deduplicated type codes
 }

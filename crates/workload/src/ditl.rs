@@ -5,8 +5,6 @@
 //! 92 705 013 queries. The trace itself is unavailable, so this module
 //! generates one with the same envelope and exact total.
 
-use serde::{Deserialize, Serialize};
-
 /// Total queries of the paper's trace.
 pub const DITL_TOTAL_QUERIES: u64 = 92_705_013;
 /// Trace length in minutes (7 hours).
@@ -33,7 +31,7 @@ fn mix(a: u64, b: u64) -> u64 {
 /// assert_eq!(trace.total(), DITL_TOTAL_QUERIES);
 /// assert_eq!(trace.per_minute().len(), 420);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DitlTrace {
     per_minute: Vec<u64>,
 }

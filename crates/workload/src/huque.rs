@@ -6,10 +6,9 @@
 //! even under a fully correct configuration.
 
 use lookaside_wire::Name;
-use serde::{Deserialize, Serialize};
 
 /// One domain of the secured list.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HuqueDomain {
     /// Domain name (`huqueNN.<tld>`).
     pub name: Name,

@@ -8,7 +8,6 @@
 use std::net::Ipv4Addr;
 
 use lookaside_wire::Name;
-use serde::{Deserialize, Serialize};
 
 fn mix(a: u64, b: u64) -> u64 {
     let mut x = a ^ b.wrapping_mul(0x9e37_79b9_7f4a_7c15);
@@ -18,7 +17,7 @@ fn mix(a: u64, b: u64) -> u64 {
 }
 
 /// One TLD of the synthetic mix.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TldInfo {
     /// TLD label (no dots).
     pub label: &'static str,
@@ -58,7 +57,7 @@ pub const TLDS: [TldInfo; 15] = [
 /// `Σ_{r≤N} π(r)`, whose proportion decays linearly in `log N` exactly as
 /// Fig. 9 reports. Defaults are calibrated to the paper's anchors
 /// (≈84 % at N=100, ≈6.8 % at N=1M).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RepoDensity {
     /// Intercept of the density line.
     pub a: f64,
@@ -86,7 +85,7 @@ impl RepoDensity {
 }
 
 /// Parameters of the synthetic population.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PopulationParams {
     /// Number of ranked domains.
     pub size: usize,
@@ -127,7 +126,7 @@ impl Default for PopulationParams {
 }
 
 /// Attributes of one ranked domain.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DomainAttrs {
     /// 1-based popularity rank.
     pub rank: usize,
@@ -153,7 +152,7 @@ pub struct DomainAttrs {
 
 /// Attributes of one hosting provider (its own SLD zone, serving
 /// `ns1`/`ns2` host records for customers).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HosterAttrs {
     /// Provider index.
     pub index: usize,
@@ -172,7 +171,7 @@ pub struct HosterAttrs {
 }
 
 /// Anything the population recognises by name.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PopEntry {
     /// A ranked domain.
     Domain(DomainAttrs),

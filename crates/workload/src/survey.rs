@@ -1,10 +1,8 @@
 //! The DNS-OARC 2015 operator survey reported in §5.2 of the paper.
 
-use serde::{Deserialize, Serialize};
-
 /// The published survey results: 56 operators running their own recursive
 /// resolvers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Survey {
     /// Total respondents.
     pub total: u32,

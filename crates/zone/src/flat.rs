@@ -22,7 +22,6 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use lookaside_wire::{Name, Record, RrSet, RrType};
-use serde::{Deserialize, Serialize};
 
 use crate::lookup::SignedRrSet;
 use crate::Zone;
@@ -40,7 +39,7 @@ impl FlatHandle {
 }
 
 /// One `(owner, type)` slot of the flat table.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct FlatEntry {
     name: Name,
     rrtype: RrType,
@@ -49,7 +48,7 @@ struct FlatEntry {
 }
 
 /// A zone's RRsets (and their signatures) as one sorted flat array.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct FlatZone {
     /// Sorted by `(owner, type)` in canonical order; binary-searched.
     entries: Vec<FlatEntry>,

@@ -18,7 +18,6 @@
 //! behave correctly.
 
 use lookaside_crypto::KeyPair;
-use serde::{Deserialize, Serialize};
 
 use crate::nsec3::DenialMode;
 use crate::published::{PublishedKey, PublishedZone, SigningKeys, ZoneKeySet};
@@ -44,7 +43,7 @@ pub fn serial_window_contains(inception: u32, expiration: u32, now: u32) -> bool
 }
 
 /// The correct-operation schedule a zone's signer follows.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct RolloverPolicy {
     /// Interval between scheduled re-signs (fresh RRSIG windows), seconds.
     pub resign_every_secs: u32,
@@ -82,7 +81,7 @@ impl RolloverPolicy {
 }
 
 /// A mistimed-operation variant layered over the correct schedule.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LifecycleFault {
     /// Correct operation.
     None,
@@ -123,7 +122,7 @@ impl LifecycleFault {
 /// and the blast radius differs — a root fault severs every chain, a TLD
 /// fault severs only that TLD's children (and only *their* case-2 traffic
 /// spikes at the look-aside registry).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum LifecycleTarget {
     /// The root zone: the study's original (PR 6) scope.
     Root,
@@ -143,7 +142,7 @@ impl LifecycleTarget {
 
 /// One zone version: the key set, signing window, and parent-side DS
 /// target active from `start_secs` until the next epoch begins.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ZoneEpoch {
     /// Zone time at which this version starts being served.
     pub start_secs: u32,
@@ -184,7 +183,7 @@ impl ZoneEpoch {
 /// [`SigningKeys::from_seed`]`(base_seed)` — a timeline can therefore take
 /// over a zone originally signed via `SigningKeys` without changing its
 /// epoch-0 bytes.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct KeyTimeline {
     /// Seed from which every key generation derives.
     pub base_seed: u64,

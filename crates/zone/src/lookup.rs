@@ -2,14 +2,13 @@ use std::net::Ipv4Addr;
 use std::sync::Arc;
 
 use lookaside_wire::{Name, Record, RrSet};
-use serde::{Deserialize, Serialize};
 
 /// An RRset paired with its covering RRSIG (absent in unsigned zones).
 ///
 /// Both halves are shared handles: cloning a `SignedRrSet` bumps refcounts,
 /// so a published zone can hand the same pre-rendered answer to every query
 /// without copying record data.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SignedRrSet {
     /// The data RRset.
     pub rrset: Arc<RrSet>,
@@ -40,7 +39,7 @@ impl SignedRrSet {
 
 /// The outcome of an authoritative zone lookup, before rendering to a wire
 /// message.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum Lookup {
     /// The name owns an RRset of the queried type.

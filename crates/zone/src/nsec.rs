@@ -8,7 +8,6 @@
 //! suppress repeat DLV queries.
 
 use lookaside_wire::{Name, RData, RrSet, RrType, TypeBitmap};
-use serde::{Deserialize, Serialize};
 
 /// An NSEC chain over a zone's owner names, in canonical order.
 ///
@@ -28,7 +27,7 @@ use serde::{Deserialize, Serialize};
 /// assert!(chain.covering(&apex.prepend("a")?, 60).is_none());
 /// # Ok::<(), lookaside_wire::WireError>(())
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct NsecChain {
     apex: Name,
     /// Owner names in canonical order, paired with their type bitmaps.

@@ -13,13 +13,12 @@
 
 use lookaside_crypto::Sha256;
 use lookaside_wire::{Name, RData, RrSet, TypeBitmap};
-use serde::{Deserialize, Serialize};
 
 /// Octets of an NSEC3 owner hash (matches SHA-1's 20).
 pub const NSEC3_HASH_LEN: usize = 20;
 
 /// Which denial-of-existence mechanism a signed zone publishes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum DenialMode {
     /// Plain NSEC chains (RFC 4034) — enumerable, aggressively cacheable.
     #[default]
@@ -79,7 +78,7 @@ pub fn base32hex(bytes: &[u8]) -> String {
 }
 
 /// An NSEC3 chain over a zone's owner names, sorted by hash.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Nsec3Chain {
     apex: Name,
     salt: Vec<u8>,

@@ -3,7 +3,6 @@ use std::sync::Arc;
 
 use lookaside_crypto::KeyPair;
 use lookaside_wire::{Name, RData, Record, RrClass, RrSet, RrType, TypeBitmap};
-use serde::{Deserialize, Serialize};
 
 use crate::flat::FlatZone;
 use crate::lookup::{Lookup, SignedRrSet};
@@ -13,7 +12,7 @@ use crate::zone::Zone;
 use crate::DEFAULT_TTL;
 
 /// The ZSK/KSK pair used to sign a zone.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct SigningKeys {
     /// Zone-signing key: signs every data RRset.
     pub zsk: KeyPair,
@@ -34,7 +33,7 @@ impl SigningKeys {
 
 /// One key published in a zone's DNSKEY RRset, with its RFC 5011
 /// revocation state.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct PublishedKey {
     /// The key pair.
     pub pair: KeyPair,
@@ -63,7 +62,7 @@ impl PublishedKey {
 /// form of [`SigningKeys`] that the lifecycle machinery uses to express
 /// rollovers: several ZSK/KSK generations may be *published* while only
 /// one of each actually *signs*.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ZoneKeySet {
     /// Zone-signing keys published in the DNSKEY RRset, oldest first.
     pub zsks: Vec<PublishedKey>,
@@ -140,7 +139,7 @@ pub fn rrsig_signing_input(
 
 /// A zone prepared for serving: optionally signed, with DNSKEY RRset, NSEC
 /// chain, and one RRSIG per covered RRset.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PublishedZone {
     zone: Zone,
     /// The publish-time freeze of `zone` + `sigs`: one sorted flat array

@@ -4,7 +4,6 @@ use std::ops::Bound;
 use std::sync::Arc;
 
 use lookaside_wire::{Name, RData, RrSet, RrType, SoaData};
-use serde::{Deserialize, Serialize};
 
 use crate::{ZoneError, DEFAULT_TTL};
 
@@ -13,7 +12,7 @@ use crate::{ZoneError, DEFAULT_TTL};
 /// Owner names are kept in canonical (RFC 4034 §6.1) order because `Name`'s
 /// `Ord` is the canonical ordering; the NSEC chain is later derived directly
 /// from the map's iteration order.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Zone {
     apex: Name,
     soa: SoaData,
