@@ -183,11 +183,13 @@ golden_gate farm
 # Corruption robustness gate: 10k fixed-seed mutated packets through the
 # wire decoder — typed WireError or success, never a panic. Backed by a
 # panic/unwrap lint wall on the wire crate, extended in PR-5 to the
-# engine and resolver hot paths (typed errors replaced the old expects).
+# engine and resolver hot paths (typed errors replaced the old expects),
+# and to the network simulator and the servers every exchange dispatches
+# into.
 cargo test -q -p lookaside-wire --release --test properties corruption_fuzz_fixed_seed_10k
-cargo clippy -p lookaside-wire -- -D warnings -D clippy::panic -D clippy::unwrap_used
-cargo clippy -p lookaside-engine -- -D warnings -D clippy::panic -D clippy::unwrap_used
-cargo clippy -p lookaside-resolver -- -D warnings -D clippy::panic -D clippy::unwrap_used
+for crate in wire engine resolver netsim server; do
+    cargo clippy -p "lookaside-${crate}" -- -D warnings -D clippy::panic -D clippy::unwrap_used
+done
 
 # Static-invariant gate: the workspace lint (crates/lint) walks every .rs
 # file, runs the lexical rules (hash-ordered collections, wall-clock

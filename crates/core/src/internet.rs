@@ -22,7 +22,7 @@ use lookaside_crypto::{ds_rdata, KeyPair, PublicKey};
 use lookaside_netsim::{CaptureFilter, LatencyModel, Network};
 use lookaside_resolver::{FeatureModel, RecursiveResolver, ResolverConfig, ResolverSetup};
 use lookaside_server::{
-    AuthoritativeServer, DecommissionStage, DlvDeposit, DlvRegistry, EpochAuthority, EpochRouter,
+    AuthoritativeServer, DecommissionStage, DlvDeposit, DlvRegistry, EpochRouter,
     SyntheticAuthority, SyntheticSpec, ZoneOracle, DLV_SPAN_TTL,
 };
 use lookaside_wire::ext::RemedyMode;
@@ -420,7 +420,7 @@ impl Internet {
     /// traffic at simulated time 0 is byte-identical to before the swap.
     /// The advertised trust anchor follows the timeline's generation-0 KSK.
     pub fn install_root_timeline(&mut self, timeline: &KeyTimeline, horizon_secs: u32) {
-        let authority = EpochAuthority::from_epochs(
+        let authority = EpochRouter::from_epochs(
             &Self::root_zone_data(),
             &timeline.epochs(horizon_secs),
             DenialMode::Nsec,

@@ -4,7 +4,7 @@
 //! Every other sweep in this crate runs against a root frozen at one
 //! signing epoch. This module replays the ranked population across a
 //! scripted *timeline* instead: the root is served by an
-//! [`lookaside_server::EpochAuthority`] replaying a
+//! [`lookaside_server::EpochRouter`] replaying a
 //! [`lookaside_zone::KeyTimeline`], and the resolver walks a fixed event
 //! schedule, re-validating as RRSIG windows lapse, ZSKs and KSKs roll, and
 //! trust anchors are (or are not) tracked via RFC 5011.

@@ -153,9 +153,17 @@ pub fn sha256(data: &[u8]) -> [u8; 32] {
     h.finalize()
 }
 
-/// Hex-encodes a digest (lowercase).
-pub fn to_hex(bytes: &[u8]) -> String {
-    bytes.iter().map(|b| format!("{b:02x}")).collect()
+/// Hex-encodes digest bytes (lowercase) into one `String`, allocated
+/// once at the iterator's length.
+pub fn to_hex<'a>(bytes: impl IntoIterator<Item = &'a u8>) -> String {
+    let nibble = |n: u8| char::from(if n < 10 { b'0' + n } else { b'a' + n - 10 });
+    let bytes = bytes.into_iter();
+    let mut hex = String::with_capacity(bytes.size_hint().0 * 2);
+    for &b in bytes {
+        hex.push(nibble(b >> 4));
+        hex.push(nibble(b & 0x0f));
+    }
+    hex
 }
 
 #[cfg(test)]

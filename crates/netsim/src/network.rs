@@ -4,7 +4,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::net::Ipv4Addr;
 
-use lookaside_wire::{Message, MessageBuilder, RData, Rcode, Record, RenderArena, RrClass, RrType};
+use lookaside_wire::{Message, MessageBuilder, RData, Rcode, Record, RenderArena, RrType};
 
 use crate::capture::{Capture, CaptureFilter, Direction, Packet};
 use crate::fault::{splitmix64, FaultPlane, GOLDEN};
@@ -12,22 +12,14 @@ use crate::latency::LatencyModel;
 use crate::observe::PacketSink;
 use crate::stats::TrafficStats;
 
-/// How a server treats one incoming query — the hook [`crate::FaultPlane`]
-/// companions like `FaultyServer` use to model server-side misbehaviour.
+/// How a server treats one incoming query. Network-level misbehaviour
+/// (loss, delay, truncation, corruption) comes from the [`crate::FaultPlane`];
+/// this only lets a server's own state decide to stay silent, as a
+/// decommissioned DLV registry does.
 #[derive(Debug, Clone)]
 pub enum ServerAction {
     /// Answer normally.
     Respond(Message),
-    /// Answer, but only after an extra server-side delay. If the delay
-    /// pushes the exchange past the caller's timeout, the resolver gives
-    /// up and the (late) response is wasted.
-    DelayedRespond {
-        /// The response eventually sent.
-        response: Message,
-        /// Server-side processing delay added to the round trip,
-        /// nanoseconds.
-        extra_ns: u64,
-    },
     /// Swallow the query: the resolver times out.
     Drop,
 }
@@ -38,27 +30,13 @@ pub trait DnsHandler {
     /// Produces the response to `query` at simulated time `now_ns`.
     fn handle(&mut self, query: &Message, now_ns: u64) -> Message;
 
-    /// Produces the response together with a server-side fault decision.
+    /// Produces the response together with a server-side drop decision.
+    /// This is what the network dispatches to.
     ///
     /// The default implementation always answers via [`DnsHandler::handle`];
-    /// fault-injecting servers override this to drop or delay.
+    /// servers whose state can silence them override it.
     fn handle_faulty(&mut self, query: &Message, now_ns: u64) -> ServerAction {
         ServerAction::Respond(self.handle(query, now_ns))
-    }
-
-    /// Like [`DnsHandler::handle_faulty`], but told which transport the
-    /// query arrived over. Transport-sensitive misbehaviour (a server that
-    /// truncates UDP answers but serves TCP correctly, per RFC 7766)
-    /// overrides this; everything else inherits the transport-blind
-    /// default.
-    fn handle_transport(
-        &mut self,
-        query: &Message,
-        now_ns: u64,
-        transport: Transport,
-    ) -> ServerAction {
-        let _ = transport;
-        self.handle_faulty(query, now_ns)
     }
 }
 
@@ -213,11 +191,6 @@ impl Network {
         self.faults = faults;
     }
 
-    /// The fault plane.
-    pub fn fault_plane(&self) -> &FaultPlane {
-        &self.faults
-    }
-
     /// Mutable access to the fault plane, for degrading or healing links
     /// mid-run.
     pub fn fault_plane_mut(&mut self) -> &mut FaultPlane {
@@ -248,11 +221,6 @@ impl Network {
     /// Experiment runs pair this with [`CaptureFilter::None`].
     pub fn set_observer(&mut self, sink: Box<dyn PacketSink>) {
         self.observer = Some(sink);
-    }
-
-    /// Removes and returns the installed observer, if any.
-    pub fn take_observer(&mut self) -> Option<Box<dyn PacketSink>> {
-        self.observer.take()
     }
 
     /// Installs a man-in-the-middle hook (§6.2.3 attacks).
@@ -308,42 +276,25 @@ impl Network {
         id
     }
 
-    /// Sends `query` to the node at `dst` over UDP (see
-    /// [`Network::exchange_with`]).
+    /// Sends `query` to the node at `dst` over UDP with the
+    /// [`DEFAULT_TIMEOUT_NS`] timeout (see [`Network::exchange_with_opts`]).
     ///
     /// # Errors
     ///
-    /// Returns [`NetError::NoRoute`] when nothing is registered at `dst`.
+    /// As for [`Network::exchange_with_opts`].
     pub fn exchange(&mut self, dst: Ipv4Addr, query: &Message) -> Result<Exchange, NetError> {
-        self.exchange_with(dst, query, Transport::Udp)
+        self.exchange_with_opts(dst, query, Transport::Udp, DEFAULT_TIMEOUT_NS)
     }
 
-    /// Sends `query` to the node at `dst` over the given transport,
-    /// returning its response together with the latency and byte
-    /// accounting. Advances the simulated clock.
+    /// Sends `query` to the node at `dst` over the given transport with an
+    /// explicit retransmission timeout, returning its response together
+    /// with the latency and byte accounting. Advances the simulated clock.
     ///
     /// UDP responses larger than the advertised payload size (the EDNS
     /// size, or [`UDP_LIMIT_NO_EDNS`] without EDNS) come back truncated
     /// with the TC bit set; callers retry over [`Transport::Tcp`], which
     /// carries any size at the cost of an extra handshake round trip and
     /// [`TCP_OVERHEAD_BYTES`] of framing.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NetError::NoRoute`] when nothing is registered at `dst`,
-    /// or [`NetError::Timeout`] when the fault plane or server loses the
-    /// exchange (the simulated clock then advances by
-    /// [`DEFAULT_TIMEOUT_NS`]).
-    pub fn exchange_with(
-        &mut self,
-        dst: Ipv4Addr,
-        query: &Message,
-        transport: Transport,
-    ) -> Result<Exchange, NetError> {
-        self.exchange_with_opts(dst, query, transport, DEFAULT_TIMEOUT_NS)
-    }
-
-    /// Sends `query` with an explicit retransmission timeout.
     ///
     /// When the exchange is lost — the fault plane drops a leg, the server
     /// swallows the query, or delays push the round trip past `timeout_ns`
@@ -352,13 +303,11 @@ impl Network {
     /// query is still captured and counted (it was on the wire; for DLV
     /// traffic it leaked regardless of the answer's fate).
     ///
-    /// With a quiet fault plane and well-behaved servers this is identical
-    /// to [`Network::exchange_with`] on every byte of capture and stats.
-    ///
     /// # Errors
     ///
     /// Returns [`NetError::NoRoute`] when nothing is registered at `dst`,
-    /// or [`NetError::Timeout`] as described above.
+    /// [`NetError::Timeout`] as described above, or [`NetError::Malformed`]
+    /// when in-flight corruption leaves an undecodable response.
     pub fn exchange_with_opts(
         &mut self,
         dst: Ipv4Addr,
@@ -415,19 +364,15 @@ impl Network {
             None => self.default_route.as_mut().ok_or(NetError::NoRoute(dst))?,
         };
         // lint:allow(semantic::panic-reachable) -- this dispatch hands the query to the simulated authoritative plane (servers, zone builders, spec oracles); a panic past it means the experiment setup violated its own invariants and must abort the run loudly rather than mis-answer
-        let action = node.handle_transport(&query, self.clock_ns, transport);
+        let action = node.handle_faulty(&query, self.clock_ns);
         if plan.duplicate {
             // The spare copy reaches the server too; its response loses the
             // transaction-id race at the resolver and is discarded.
-            let _ = node.handle_transport(&query, self.clock_ns, transport);
+            let _ = node.handle_faulty(&query, self.clock_ns);
             self.stats.duplicates += 1;
         }
         let mut response = match action {
             ServerAction::Respond(response) => response,
-            ServerAction::DelayedRespond { response, extra_ns } => {
-                rtt_ns += extra_ns;
-                response
-            }
             ServerAction::Drop => return Err(self.time_out(dst, qtype, query_bytes, timeout_ns)),
         };
         if let Some(tamper) = &mut self.tamper {
@@ -511,23 +456,6 @@ impl Network {
         self.clock_ns += timeout_ns;
         self.stats.record_timeout(qtype, query_bytes, timeout_ns);
         NetError::Timeout(dst)
-    }
-
-    /// Convenience: build and send a DNSSEC (`DO`-bit) query.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NetError::NoRoute`] when nothing is registered at `dst`.
-    pub fn dnssec_query(
-        &mut self,
-        dst: Ipv4Addr,
-        qname: lookaside_wire::Name,
-        qtype: RrType,
-    ) -> Result<Exchange, NetError> {
-        let id = self.allocate_id();
-        let mut q = Message::dnssec_query(id, qname, qtype);
-        q.questions[0].class = RrClass::In;
-        self.exchange(dst, &q)
     }
 
     /// Simulated time, nanoseconds since the run started.
@@ -755,8 +683,8 @@ mod tests {
         let mut net = Network::new(11);
         net.register(addr(7), "bloated", Box::new(Bloated));
         let q = Message::query(2, Name::parse("big.test.").unwrap(), RrType::Txt);
-        let udp = net.exchange_with(addr(7), &q, Transport::Udp).unwrap();
-        let tcp = net.exchange_with(addr(7), &q, Transport::Tcp).unwrap();
+        let udp = net.exchange_with_opts(addr(7), &q, Transport::Udp, DEFAULT_TIMEOUT_NS).unwrap();
+        let tcp = net.exchange_with_opts(addr(7), &q, Transport::Tcp, DEFAULT_TIMEOUT_NS).unwrap();
         assert!(!tcp.response.header.flags.tc);
         assert_eq!(tcp.response.answers.len(), 40);
         assert!(tcp.response_bytes > 512);
@@ -785,7 +713,14 @@ mod tests {
         assert!(ex.response.answers.is_empty());
         assert_eq!(net.stats().forced_truncations, 1);
         // TCP is immune: truncation is a datagram fault.
-        let ex = net.exchange_with(addr(1), &q("example.com", RrType::A), Transport::Tcp).unwrap();
+        let ex = net
+            .exchange_with_opts(
+                addr(1),
+                &q("example.com", RrType::A),
+                Transport::Tcp,
+                DEFAULT_TIMEOUT_NS,
+            )
+            .unwrap();
         assert!(!ex.response.header.flags.tc);
     }
 
@@ -847,8 +782,12 @@ mod tests {
         let mut udp_model = LatencyModel::new(5);
         udp_model.pin(addr(1), 10, 10);
         slow.set_latency(udp_model);
-        let udp = slow.exchange_with(addr(1), &q("a.com", RrType::A), Transport::Udp).unwrap();
-        let tcp = slow.exchange_with(addr(1), &q("a.com", RrType::A), Transport::Tcp).unwrap();
+        let udp = slow
+            .exchange_with_opts(addr(1), &q("a.com", RrType::A), Transport::Udp, DEFAULT_TIMEOUT_NS)
+            .unwrap();
+        let tcp = slow
+            .exchange_with_opts(addr(1), &q("a.com", RrType::A), Transport::Tcp, DEFAULT_TIMEOUT_NS)
+            .unwrap();
         assert!(
             tcp.rtt_ns >= 20 * udp.rtt_ns,
             "pinned TCP model must dominate: {} vs {}",

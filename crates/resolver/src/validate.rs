@@ -220,7 +220,7 @@ impl RecursiveResolver {
                             }
                             return Ok(SecurityStatus::Bogus);
                         }
-                        self.descend_with_ds(net, zone, &ds_set)
+                        self.descend(net, zone, &ds_set)
                     }
                     None => self.try_dlv(net, zone),
                 }
@@ -229,19 +229,22 @@ impl RecursiveResolver {
         }
     }
 
-    /// Completes the chain into `zone` given a validated DS RRset.
-    fn descend_with_ds(
+    /// Completes the chain into `zone` given `digests`, a validated DS
+    /// RRset or a DLV RRset used exactly like one (RFC 5074 §3): some
+    /// digest must match a fetched DNSKEY, and the DNSKEY RRset must be
+    /// self-signed within its validity window.
+    fn descend(
         &mut self,
         net: &mut Network,
         zone: &Name,
-        ds_set: &RrSet,
+        digests: &RrSet,
     ) -> Result<SecurityStatus, ResolveError> {
         let Some((keys, key_set, key_sig)) = self.fetch_dnskeys(net, zone)? else {
             return Ok(SecurityStatus::Bogus);
         };
         let now = now_secs(net);
-        let anchored = ds_set.rdatas.iter().any(|rd| {
-            let RData::Ds { digest, .. } = rd else { return false };
+        let anchored = digests.rdatas.iter().any(|rd| {
+            let (RData::Ds { digest, .. } | RData::Dlv { digest, .. }) = rd else { return false };
             keys.iter().any(|k| digest_matches(zone, k, digest))
         });
         if !anchored {
@@ -560,7 +563,7 @@ impl RecursiveResolver {
                         return Ok(SecurityStatus::Insecure);
                     }
                     // Use the DLV record exactly like a DS (RFC 5074 §3).
-                    return match self.descend_with_dlv(net, zone, dlv_set)? {
+                    return match self.descend(net, zone, dlv_set)? {
                         SecurityStatus::Secure => {
                             self.secured_via_dlv.insert(zone.clone());
                             Ok(SecurityStatus::Secure)
@@ -577,38 +580,6 @@ impl RecursiveResolver {
             }
         }
         Ok(SecurityStatus::Insecure)
-    }
-
-    /// Like [`Self::descend_with_ds`] but anchored on a DLV RRset.
-    fn descend_with_dlv(
-        &mut self,
-        net: &mut Network,
-        zone: &Name,
-        dlv_set: &RrSet,
-    ) -> Result<SecurityStatus, ResolveError> {
-        let Some((keys, key_set, key_sig)) = self.fetch_dnskeys(net, zone)? else {
-            return Ok(SecurityStatus::Bogus);
-        };
-        let anchored = dlv_set.rdatas.iter().any(|rd| {
-            let RData::Dlv { digest, .. } = rd else { return false };
-            keys.iter().any(|k| digest_matches(zone, k, digest))
-        });
-        if !anchored {
-            return Ok(SecurityStatus::Bogus);
-        }
-        let now = now_secs(net);
-        let check = key_sig
-            .as_ref()
-            .map(|sig| check_rrset(&key_set, sig, &keys, now))
-            .unwrap_or(RrsigCheck::Invalid);
-        if check != RrsigCheck::Valid {
-            if check == RrsigCheck::Expired {
-                self.counters.expired_rrsig_bogus += 1;
-            }
-            return Ok(SecurityStatus::Bogus);
-        }
-        self.validated_keys.insert(zone.clone(), keys);
-        Ok(SecurityStatus::Secure)
     }
 
     /// Validates NSEC records from a DLV NXDOMAIN and caches their spans

@@ -389,10 +389,9 @@ fn truncated_responses_retry_over_tcp() {
 
 #[test]
 fn resolver_fails_over_to_sibling_name_server() {
-    use lookaside_server::FlakyServer;
     let mut w = build_world(RemedyMode::None);
     // twins.com is served by two name servers; the first is permanently
-    // lame (REFUSED), the second answers.
+    // lame (hosts no zone, so it answers REFUSED), the second answers.
     let lame_addr = Ipv4Addr::new(10, 9, 0, 1);
     let good_addr = Ipv4Addr::new(10, 9, 0, 2);
     let twins_keys = SigningKeys::from_seed(300);
@@ -404,11 +403,7 @@ fn resolver_fails_over_to_sibling_name_server() {
         z.add(n("www.twins.com"), 300, RData::A(Ipv4Addr::new(192, 0, 2, 9)));
         PublishedZone::signed(z, &twins_keys, 0, EXPIRE)
     };
-    w.net.register(
-        lame_addr,
-        "twins-lame",
-        Box::new(FlakyServer::always_lame(Box::new(AuthoritativeServer::single(build_zone())))),
-    );
+    w.net.register(lame_addr, "twins-lame", Box::new(AuthoritativeServer::new(Vec::new())));
     w.net.register(good_addr, "twins-good", Box::new(AuthoritativeServer::single(build_zone())));
     // Hook the delegation into com via a second com zone? Simpler: extend
     // the resolver's world by querying through a fresh com delegation is
@@ -808,11 +803,11 @@ fn hardened_serve_stale_rejects_expired_rrsigs_when_validating() {
     assert_eq!(r.counters.stale_answers, 1);
 }
 
-/// Swaps the root for an [`EpochAuthority`] replaying `timeline`. Base seed
+/// Swaps the root for an [`EpochRouter`] replaying `timeline`. Base seed
 /// 100 makes generation 0 identical to the world's `SigningKeys`, so the
 /// resolver's configured anchor matches epoch 0 byte-for-byte.
 fn epoch_root(w: &mut World, timeline: &lookaside_zone::KeyTimeline, horizon_secs: u32) {
-    use lookaside_server::EpochAuthority;
+    use lookaside_server::EpochRouter;
     use lookaside_zone::DenialMode;
 
     let com_keys = SigningKeys::from_seed(101);
@@ -823,7 +818,7 @@ fn epoch_root(w: &mut World, timeline: &lookaside_zone::KeyTimeline, horizon_sec
     root.delegate(n("org"), &[(n("ns.org"), ORG)]).unwrap();
     root.add_ds(n("org"), lookaside_crypto::ds_rdata(&n("org"), &org_keys.ksk.public()));
     let authority =
-        EpochAuthority::from_epochs(&root, &timeline.epochs(horizon_secs), DenialMode::Nsec);
+        EpochRouter::from_epochs(&root, &timeline.epochs(horizon_secs), DenialMode::Nsec);
     assert!(w.net.replace_node(ROOT, "root", Box::new(authority)));
 }
 
@@ -936,24 +931,16 @@ fn missed_rfc5011_window_fails_bogus_then_leaks_to_dlv() {
 #[test]
 fn servfail_cache_supersedes_holddown_for_rcode_failures() {
     use lookaside_resolver::RetryPolicy;
-    use lookaside_server::FlakyServer;
 
-    // A permanently lame zone: with the SERVFAIL cache enabled the *cache*
+    // A permanently lame zone (its server hosts nothing and answers
+    // REFUSED): with the SERVFAIL cache enabled the *cache*
     // absorbs rcode failures (admission control) and the server is NOT
     // additionally held down — one lame zone must not black out a server
     // for every other zone it serves. Without the cache, holddown is the
     // only defence and must still engage.
     let lame_addr = Ipv4Addr::new(10, 9, 3, 1);
     let register_lame = |w: &mut World| {
-        let mut z = Zone::new(n("lame.com"), n("ns1.lame.com"));
-        z.add(n("ns1.lame.com"), 3600, RData::A(lame_addr));
-        w.net.register(
-            lame_addr,
-            "lame.com",
-            Box::new(FlakyServer::always_lame(Box::new(AuthoritativeServer::single(
-                PublishedZone::unsigned(z),
-            )))),
-        );
+        w.net.register(lame_addr, "lame.com", Box::new(AuthoritativeServer::new(Vec::new())));
     };
 
     let mut w = build_world(RemedyMode::None);
@@ -982,20 +969,13 @@ fn servfail_cache_supersedes_holddown_for_rcode_failures() {
 
 #[test]
 fn truncated_dlv_response_takes_one_tcp_retry_no_duplicate_query() {
-    use lookaside_netsim::Direction;
-    use lookaside_server::FaultyServer;
+    use lookaside_netsim::{Direction, LinkFaults};
 
     let mut w = build_world(RemedyMode::None);
-    // Swap the registry for one that truncates every UDP response (TC=1,
-    // answers clipped); the TCP leg is served intact.
-    let island_keys = SigningKeys::from_seed(106);
-    let deposits = vec![DlvDeposit { domain: n("island.com"), ksk: island_keys.ksk.public() }];
-    let registry = DlvRegistry::new(n("dlv.isc.org"), &deposits, &w.dlv_keys, 0, EXPIRE, false);
-    w.net.replace_node(
-        DLV,
-        "dlv-registry",
-        Box::new(FaultyServer::wrap(Box::new(registry)).with_truncate_milli(1000)),
-    );
+    // The registry's link truncates every UDP response (TC=1, answers
+    // clipped); link truncation never touches TCP, so the retry is served
+    // intact.
+    w.net.fault_plane_mut().set_link(DLV, LinkFaults::quiet().with_truncate_milli(1000));
 
     let mut r = correct_resolver(&w);
     let res = r.resolve(&mut w.net, &n("www.island.com"), RrType::A).unwrap();

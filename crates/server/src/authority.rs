@@ -29,11 +29,6 @@ impl AuthoritativeServer {
         AuthoritativeServer::new(vec![zone])
     }
 
-    /// Adds another hosted zone.
-    pub fn add_zone(&mut self, zone: PublishedZone) {
-        self.zones.push(zone);
-    }
-
     /// Marks a hosted zone apex as having a DLV record deposited, enabling
     /// the Z-bit signal on its responses.
     pub fn advertise_dlv(&mut self, apex: Name) {
@@ -46,11 +41,6 @@ impl AuthoritativeServer {
             .iter()
             .filter(|z| qname.is_subdomain_of(z.apex()))
             .max_by_key(|z| z.apex().label_count())
-    }
-
-    /// Number of hosted zones.
-    pub fn zone_count(&self) -> usize {
-        self.zones.len()
     }
 
     /// The hosted zones, in insertion order.

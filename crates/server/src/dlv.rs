@@ -95,22 +95,6 @@ impl DlvRegistry {
         expiration: u32,
         hashed: bool,
     ) -> Self {
-        Self::with_span_ttl(apex, deposits, keys, inception, expiration, hashed, DLV_SPAN_TTL)
-    }
-
-    /// Like [`DlvRegistry::new`] with an explicit negative-caching TTL for
-    /// the registry's NSEC spans (the §5.1 "order matters" experiment uses
-    /// short TTLs).
-    #[allow(clippy::too_many_arguments)]
-    pub fn with_span_ttl(
-        apex: Name,
-        deposits: &[DlvDeposit],
-        keys: &SigningKeys,
-        inception: u32,
-        expiration: u32,
-        hashed: bool,
-        span_ttl: u32,
-    ) -> Self {
         Self::with_denial(
             apex,
             deposits,
@@ -118,12 +102,13 @@ impl DlvRegistry {
             inception,
             expiration,
             hashed,
-            span_ttl,
+            DLV_SPAN_TTL,
             DenialMode::Nsec,
         )
     }
 
-    /// Full-control constructor: additionally selects the denial mechanism.
+    /// Full-control constructor: additionally sets the negative-caching TTL
+    /// of the registry's NSEC spans and selects the denial mechanism.
     /// An NSEC3 registry resists zone enumeration but, per RFC 5074 §5,
     /// resolvers cannot aggressively cache its denials — the §7.3
     /// trade-off the `nsec3` experiment measures.
@@ -421,6 +406,7 @@ mod tests {
         assert!(matches!(reg.handle_faulty(&q, 0), ServerAction::Respond(_)));
         reg.set_stage(DecommissionStage::Offline);
         assert!(matches!(reg.handle_faulty(&q, 0), ServerAction::Drop));
+        assert_eq!(reg.handle(&q, 0).rcode(), Rcode::ServFail, "direct callers see SERVFAIL");
     }
 
     #[test]

@@ -26,13 +26,11 @@
 mod authority;
 mod dlv;
 mod epoch;
-mod flaky;
 mod render;
 mod synthetic;
 
 pub use authority::AuthoritativeServer;
 pub use dlv::{DecommissionStage, DlvDeposit, DlvRegistry, DLV_SPAN_TTL};
-pub use epoch::{EpochAuthority, EpochRouter};
-pub use flaky::{FaultyServer, FlakyServer};
+pub use epoch::EpochRouter;
 pub use render::render_lookup;
 pub use synthetic::{SyntheticAuthority, SyntheticSpec, ZoneOracle};
